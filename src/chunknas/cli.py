@@ -17,12 +17,9 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import cosearch as cs
 from . import zeroshot
-from .config import ParseError, RunConfig, load_run_config
-from .nn import NonFiniteScore, instantiate
+from .config import ParseError, RunConfig, load_run_config, read_json, read_text
 from .refdata import bundled_workloads, reference_tables
 from .reproduce import compare_workloads, run_reference_checks
 from .search_space import MembershipViolation, SubNetwork, validate
@@ -91,12 +88,11 @@ def _parse_genome_text(text: str, line_no: int = 1) -> SubNetwork:
 
 def read_genome_file(path: str) -> list[SubNetwork]:
     nets = []
-    with open(path) as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            nets.append(_parse_genome_text(line, line_no))
+    for line_no, line in enumerate(read_text(path, "genome file").splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        nets.append(_parse_genome_text(line, line_no))
     if not nets:
         raise ParseError(f"{path}: no genomes found")
     return nets
@@ -149,32 +145,13 @@ def cmd_score(args, cfg: RunConfig) -> int:
     for net in nets:
         validate(cfg.space, net)
 
-    rows = []
-    pairs = []
-    for net in nets:
-        nn_val = zeroshot.nn_degree(cfg.space, net)
-        w_seed, z_seed = cs.derive_seeds(args.seed, net.digest())
-        try:
-            hybrid = instantiate(net, cfg.space, w_seed)
-            zen_val = zeroshot.zen_score(
-                hybrid,
-                alpha=cfg.params.zen_alpha,
-                batch=cfg.params.zen_batch,
-                repeats=cfg.params.zen_repeats,
-                rng=np.random.default_rng(z_seed),
-            )
-        except NonFiniteScore:
-            zen_val = float("nan")
-        pairs.append((nn_val, zen_val))
-        rows.append({"genome_id": f"{net.digest():016x}", "genome": _genome_str(net),
-                     "nn_degree": nn_val, "zen_score": zen_val})
-    finite = [(p, i) for i, p in enumerate(pairs) if np.isfinite(p[1])]
-    ranks = zeroshot.combined_ranks([p for p, _ in finite]) if finite else []
-    for (_, i), r in zip(finite, ranks):
-        rows[i]["combined_rank"] = r
-    for i, p in enumerate(pairs):
-        if not np.isfinite(p[1]):
-            rows[i]["combined_rank"] = 2 * len(pairs)
+    scores = [cs.zero_shot_scores(net, cfg.space, cfg.params, args.seed) for net in nets]
+    rows = [
+        {"genome_id": f"{net.digest():016x}", "genome": _genome_str(net),
+         "nn_degree": nn_val, "zen_score": float("nan") if zen_val is None else zen_val,
+         "combined_rank": rank}
+        for net, (nn_val, zen_val), rank in zip(nets, scores, cs.rank_scores(scores))
+    ]
 
     out = _prepare_output(args)
     _write_csv(out / "scores.csv", SCORE_CSV_COLUMNS, rows)
@@ -190,20 +167,20 @@ def cmd_score(args, cfg: RunConfig) -> int:
 
 def cmd_kendall(args, cfg: RunConfig) -> int:
     xs, ys = [], []
-    with open(args.csv) as f:
-        for line_no, row in enumerate(csv.reader(f), start=1):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) < 2:
-                raise ParseError("need two columns", line=line_no)
-            try:
-                x, y = float(row[0]), float(row[1])
-            except ValueError:
-                if line_no == 1:
-                    continue  # header
-                raise ParseError("non-numeric cell", line=line_no)
-            xs.append(x)
-            ys.append(y)
+    rows = csv.reader(read_text(args.csv, "csv").splitlines())
+    for line_no, row in enumerate(rows, start=1):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) < 2:
+            raise ParseError("need two columns", line=line_no)
+        try:
+            x, y = float(row[0]), float(row[1])
+        except ValueError:
+            if line_no == 1:
+                continue  # header
+            raise ParseError("non-numeric cell", line=line_no)
+        xs.append(x)
+        ys.append(y)
     tau = zeroshot.kendall_tau(xs, ys)
     if args.json:
         print(json.dumps({"kendall_tau": tau, "n": len(xs)}))
@@ -301,8 +278,9 @@ def _pareto_rows(result: cs.CoSearchResult) -> list[dict]:
 
 
 def cmd_reproduce_tables(args, cfg: RunConfig) -> int:
-    tables = reference_tables() if args.data is None else json.load(open(args.data))
-    suite = bundled_workloads() if args.workloads is None else json.load(open(args.workloads))
+    tables = reference_tables() if args.data is None else read_json(args.data, "reference data")
+    suite = (bundled_workloads() if args.workloads is None
+             else read_json(args.workloads, "workload suite"))
     if args.no_workloads:
         suite = None
     report = run_reference_checks(tables, suite)
@@ -318,7 +296,8 @@ def cmd_reproduce_tables(args, cfg: RunConfig) -> int:
 
 
 def cmd_oracle_compare(args, cfg: RunConfig) -> int:
-    suite = bundled_workloads() if args.workloads is None else json.load(open(args.workloads))
+    suite = (bundled_workloads() if args.workloads is None
+             else read_json(args.workloads, "workload suite"))
     comparisons = compare_workloads(suite, cfg.coeffs, node_cap=args.node_cap)
     rows = [c.to_dict() for c in comparisons]
     ok = all(

@@ -105,6 +105,24 @@ def apply_env_overrides(doc: dict, environ: dict | None = None) -> dict:
     return doc
 
 
+def read_text(path: str, what: str = "file") -> str:
+    """Contents of an input file; a missing or unreadable file is a ParseError."""
+    try:
+        with open(path) as f:
+            return f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{what} {path}: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
+def read_json(path: str, what: str = "file"):
+    """Parsed JSON document of an input file; malformed JSON is a ParseError
+    naming the offending line."""
+    try:
+        return json.loads(read_text(path, what))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{what} {path}: {exc.msg}", line=exc.lineno) from exc
+
+
 def load_run_config(
     path: str | None = None,
     environ: dict | None = None,
@@ -113,11 +131,7 @@ def load_run_config(
     """defaults < config file < environment < explicit overrides."""
     doc: dict = {}
     if path is not None:
-        try:
-            with open(path) as f:
-                raw = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"config {path}: {exc.msg}", line=exc.lineno) from exc
+        raw = read_json(path, "config")
         if not isinstance(raw, dict):
             raise ParseError(f"config {path}: expected a JSON object")
         doc = raw

@@ -11,11 +11,12 @@ dataflows, and sizes the buffer to the minimum that fits.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import random
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,8 +33,10 @@ from .accel import (
     LoopOrder,
     LUT_PER_PE,
     PerfReport,
+    TileExceedsBuffer,
     chunk_lut,
     evaluate_dataflows,
+    layer_latency,
     min_gb_size,
     pipeline_perf,
     tiling_candidates,
@@ -135,24 +138,79 @@ class CoarseResult:
     had_conv: bool
 
 
-def coarse_search(layers: Sequence[LayerDescriptor], budget: HardwareBudget) -> CoarseResult:
+def _chunk_evals(kind: LayerType, layers: Sequence[LayerDescriptor], pes: Sequence[int],
+                 gb: int, budget: HardwareBudget, search: bool,
+                 stats: SearchStats) -> dict[int, ChunkEval]:
+    """Per-chunk table: for every PE count, the chunk's best dataflow by full
+    sweep, or with ``search`` off the hand dataflow scored layer by layer."""
+    table = {}
+    for pe in pes:
+        if search:
+            ev = evaluate_dataflows(kind, layers, pe, gb, budget)
+        else:
+            df = manual_dataflow(layers)
+            chunk = ChunkConfig(kind, pe, df)
+            try:
+                cycles = sum(layer_latency(l, chunk, gb, budget) for l in layers)
+            except TileExceedsBuffer as exc:
+                raise InfeasibleBudget(
+                    f"hand dataflow tile {df.tiling} of chunk {kind.short} does not fit: {exc}"
+                ) from exc
+            ev = ChunkEval(df, cycles, 0, 1, 1)
+        stats.add(SearchStats(ev.nodes, ev.nodes))
+        table[pe] = ev
+    return table
+
+
+def _best_design(layers: Sequence[LayerDescriptor], tables: dict[LayerType, dict[int, ChunkEval]],
+                 budget: HardwareBudget, stats: SearchStats) -> tuple[AcceleratorConfig, int]:
+    """Pick the PE combination of the per-chunk tables that fits the LUT
+    budget with the smallest pipeline interval (ties: fewer LUTs, then
+    smaller PE counts), then shrink the buffer to the smallest size that
+    holds every chosen tile. Returns the design and its interval."""
+    table_c, table_s, table_a = (tables[k] for k in _KIND_ORDER)
+    avail = budget.lut_total - budget.lut_overhead
+    best = None
+    for pe_c, pe_s, pe_a in itertools.product(sorted(table_c), sorted(table_s),
+                                              sorted(table_a)):
+        luts = chunk_lut(pe_c, pe_s, pe_a)
+        if luts > avail:
+            continue
+        stats.evaluated_nodes += 1
+        interval = max(table_c[pe_c].cycles, table_s[pe_s].cycles, table_a[pe_a].cycles)
+        key = (interval, luts, pe_c, pe_s, pe_a)
+        if best is None or key < best:
+            best = key
+    if best is None:
+        raise InfeasibleBudget("no PE combination fits the LUT budget")
+    interval, _, *pes = best
+    chunks = [ChunkConfig(kind, pe, tables[kind][pe].dataflow)
+              for kind, pe in zip(_KIND_ORDER, pes)]
+    cfg = AcceleratorConfig(*chunks, gb_bytes=budget.gb_bytes_max)
+    cfg = replace(cfg, gb_bytes=max(1, min_gb_size(cfg, layers, budget)))
+    cfg.assert_fits(budget)
+    return cfg, interval
+
+
+def coarse_search(layers: Sequence[LayerDescriptor], budget: HardwareBudget,
+                  search: bool = True) -> CoarseResult:
     """Phase one: fix the conv chunk at the maximum PE count and pick its
-    best dataflow by full sweep, with the buffer provisionally at maximum."""
+    best dataflow by full sweep, with the buffer provisionally at maximum.
+    With ``search`` off the conv chunk keeps the hand dataflow. A workload
+    without conv layers gets a single idle conv PE."""
     conv_layers = split_by_type(layers)[LayerType.CONV]
-    pe_c = max_conv_pes(budget)
-    gb = budget.gb_bytes_max
+    if search or conv_layers:
+        pe_c = max_conv_pes(budget)
     if not conv_layers:
-        warnings.warn("no conv layers; conv chunk degenerates to a single PE",
-                      NoConvLayers, stacklevel=2)
-        return CoarseResult(
-            ChunkConfig(LayerType.CONV, 1, _minimal_dataflow()),
-            gb, 0, SearchStats(1, 1), had_conv=False,
-        )
-    ev = evaluate_dataflows(LayerType.CONV, conv_layers, pe_c, gb, budget)
-    return CoarseResult(
-        ChunkConfig(LayerType.CONV, pe_c, ev.dataflow),
-        gb, ev.cycles, SearchStats(ev.nodes, ev.nodes), had_conv=True,
-    )
+        if search:
+            warnings.warn("no conv layers; conv chunk degenerates to a single PE",
+                          NoConvLayers, stacklevel=2)
+        pe_c = 1
+    gb = budget.gb_bytes_max
+    stats = SearchStats()
+    ev = _chunk_evals(LayerType.CONV, conv_layers, [pe_c], gb, budget, search, stats)[pe_c]
+    return CoarseResult(ChunkConfig(LayerType.CONV, pe_c, ev.dataflow), gb, ev.cycles,
+                        stats, had_conv=bool(conv_layers))
 
 
 def eq9_pe_init(macs: MacProfile, pe_c: int) -> tuple[float, float, int, int]:
@@ -198,15 +256,16 @@ def fine_search(
     layers: Sequence[LayerDescriptor],
     budget: HardwareBudget,
     coarse: CoarseResult,
-    search_dataflows: bool = True,
-    finetune: bool = True,
+    search: bool = True,
 ) -> FineResult:
     """Phase two: size and map the shift/adder chunks, then shrink the buffer.
 
-    PE counts start at the MAC-balanced allocation, are clamped to the LUT
-    budget, and are refined over a multiplicative grid; each candidate count
-    gets a full dataflow sweep. The winner minimizes the pipeline interval,
-    with ties broken by fewer total LUTs, then smaller PE counts.
+    PE counts start at the MAC-balanced allocation, clamped to the LUT
+    budget. With ``search`` on they are refined over a multiplicative grid
+    and each candidate count gets a full dataflow sweep; with it off the
+    balanced counts keep the hand dataflow. The winner minimizes the
+    pipeline interval, with ties broken by fewer total LUTs, then smaller
+    PE counts.
     """
     by_type = split_by_type(layers)
     pe_c = coarse.chunk.pe_count
@@ -216,64 +275,18 @@ def fine_search(
         raise InfeasibleBudget(
             f"LUT budget {budget.lut_total} cannot host minimal chunks beside {pe_c} conv PEs"
         )
-    macs = count_macs(layers)
-    _, _, init_s, init_a = eq9_pe_init(macs, pe_c)
+    _, _, init_s, init_a = eq9_pe_init(count_macs(layers), pe_c)
     init_s, init_a = _clamp_pair_to_lut(init_s, init_a, avail)
 
-    steps = FINETUNE_STEPS if finetune else (1.0,)
-    cand_s = sorted({max(1, round(init_s * m)) for m in steps})
-    cand_a = sorted({max(1, round(init_a * m)) for m in steps})
-
-    gb = coarse.gb_bytes
+    steps = FINETUNE_STEPS if search else (1.0,)
     stats = SearchStats()
-
-    def chunk_table(kind: LayerType, candidates: list[int]) -> dict[int, ChunkEval]:
-        table = {}
-        for pe in candidates:
-            if search_dataflows:
-                ev = evaluate_dataflows(kind, by_type[kind], pe, gb, budget)
-                stats.add(SearchStats(ev.nodes, ev.nodes))
-            else:
-                df = manual_dataflow(by_type[kind])
-                cyc = _total_cycles(by_type[kind], ChunkConfig(kind, pe, df), gb, budget)
-                ev = ChunkEval(df, cyc, 0, 1, 1)
-                stats.add(SearchStats(1, 1))
-            table[pe] = ev
-        return table
-
-    table_s = chunk_table(LayerType.SHIFT, cand_s)
-    table_a = chunk_table(LayerType.ADDER, cand_a)
-
-    best = None
-    for pe_s in cand_s:
-        for pe_a in cand_a:
-            if lut_s * pe_s + lut_a * pe_a > avail:
-                continue
-            stats.evaluated_nodes += 1
-            interval = max(coarse.cycles, table_s[pe_s].cycles, table_a[pe_a].cycles)
-            luts = chunk_lut(pe_c, pe_s, pe_a)
-            key = (interval, luts, pe_s, pe_a)
-            if best is None or key < best[0]:
-                best = (key, pe_s, pe_a)
-    if best is None:
-        raise InfeasibleBudget("no shift/adder PE pair fits the LUT budget")
-    _, pe_s, pe_a = best
-    cfg = AcceleratorConfig(
-        chunk_c=coarse.chunk,
-        chunk_s=ChunkConfig(LayerType.SHIFT, pe_s, table_s[pe_s].dataflow),
-        chunk_a=ChunkConfig(LayerType.ADDER, pe_a, table_a[pe_a].dataflow),
-        gb_bytes=gb,
-    )
-    gb_final = max(1, min_gb_size(cfg, layers, budget))
-    cfg = AcceleratorConfig(cfg.chunk_c, cfg.chunk_s, cfg.chunk_a, gb_final)
-    cfg.assert_fits(budget)
-    return FineResult(cfg, best[0][0], stats)
-
-
-def _total_cycles(layers, chunk: ChunkConfig, gb: int, budget: HardwareBudget) -> int:
-    from .accel import layer_latency
-
-    return sum(layer_latency(l, chunk, gb, budget) for l in layers)
+    tables = {LayerType.CONV: {pe_c: ChunkEval(coarse.chunk.dataflow, coarse.cycles, 0, 0, 0)}}
+    for kind, init in ((LayerType.SHIFT, init_s), (LayerType.ADDER, init_a)):
+        pes = sorted({max(1, round(init * m)) for m in steps})
+        tables[kind] = _chunk_evals(kind, by_type[kind], pes, coarse.gb_bytes, budget,
+                                    search, stats)
+    cfg, interval = _best_design(layers, tables, budget, stats)
+    return FineResult(cfg, interval, stats)
 
 
 @dataclass
@@ -297,24 +310,10 @@ def search_accelerator_layers(
     ``fine_phase`` off, the shift/adder chunks keep the MAC-balanced PE
     counts and the hand dataflow.
     """
-    by_type = split_by_type(layers)
+    coarse = coarse_search(layers, budget, search=coarse_phase)
+    fine = fine_search(layers, budget, coarse, search=fine_phase)
     stats = SearchStats()
-    if coarse_phase:
-        coarse = coarse_search(layers, budget)
-        stats.add(coarse.stats)
-    else:
-        pe_c = max_conv_pes(budget) if by_type[LayerType.CONV] else 1
-        df = manual_dataflow(by_type[LayerType.CONV])
-        chunk = ChunkConfig(LayerType.CONV, pe_c, df)
-        cycles = _total_cycles(by_type[LayerType.CONV], chunk, budget.gb_bytes_max, budget)
-        coarse = CoarseResult(chunk, budget.gb_bytes_max, cycles, SearchStats(1, 1),
-                              had_conv=bool(by_type[LayerType.CONV]))
-        stats.add(coarse.stats)
-    fine = fine_search(
-        layers, budget, coarse,
-        search_dataflows=fine_phase,
-        finetune=fine_phase,
-    )
+    stats.add(coarse.stats)
     stats.add(fine.stats)
     report = pipeline_perf(layers, None, fine.config, budget, coeffs)
     return AccelSearchResult(fine.config, report, stats)
@@ -363,44 +362,11 @@ def oracle_layers(
         raise GridTooLarge(f"joint space {joint:.3g} exceeds node cap {node_cap:.3g}")
 
     gb = budget.gb_bytes_max
-    stats = SearchStats(joint_space_nodes=joint)
-    tables: dict[LayerType, dict[int, ChunkEval]] = {}
-    for kind in _KIND_ORDER:
-        tables[kind] = {}
-        for pe in grids[kind]:
-            ev = evaluate_dataflows(kind, by_type[kind], pe, gb, budget)
-            stats.evaluated_nodes += ev.nodes
-            tables[kind][pe] = ev
-
-    avail = budget.lut_total - budget.lut_overhead
-    best = None
-    for pe_c in grids[LayerType.CONV]:
-        for pe_s in grids[LayerType.SHIFT]:
-            for pe_a in grids[LayerType.ADDER]:
-                luts = chunk_lut(pe_c, pe_s, pe_a)
-                if luts > avail:
-                    continue
-                stats.evaluated_nodes += 1
-                interval = max(
-                    tables[LayerType.CONV][pe_c].cycles,
-                    tables[LayerType.SHIFT][pe_s].cycles,
-                    tables[LayerType.ADDER][pe_a].cycles,
-                )
-                key = (interval, luts, pe_c, pe_s, pe_a)
-                if best is None or key < best[0]:
-                    best = (key, pe_c, pe_s, pe_a)
-    if best is None:
-        raise InfeasibleBudget("no PE triple in the grid fits the LUT budget")
-    _, pe_c, pe_s, pe_a = best
-    cfg = AcceleratorConfig(
-        chunk_c=ChunkConfig(LayerType.CONV, pe_c, tables[LayerType.CONV][pe_c].dataflow),
-        chunk_s=ChunkConfig(LayerType.SHIFT, pe_s, tables[LayerType.SHIFT][pe_s].dataflow),
-        chunk_a=ChunkConfig(LayerType.ADDER, pe_a, tables[LayerType.ADDER][pe_a].dataflow),
-        gb_bytes=gb,
-    )
-    gb_final = max(1, min_gb_size(cfg, layers, budget))
-    cfg = AcceleratorConfig(cfg.chunk_c, cfg.chunk_s, cfg.chunk_a, gb_final)
-    cfg.assert_fits(budget)
+    stats = SearchStats()
+    tables = {kind: _chunk_evals(kind, by_type[kind], grids[kind], gb, budget, True, stats)
+              for kind in _KIND_ORDER}
+    cfg, _ = _best_design(layers, tables, budget, stats)
+    stats.joint_space_nodes = joint
     report = pipeline_perf(layers, None, cfg, budget, coeffs)
     return AccelSearchResult(cfg, report, stats)
 
@@ -446,18 +412,7 @@ class SearchParams:
                 raise ValueError("probabilities must lie in [0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "population": self.population,
-            "expand_size": self.expand_size,
-            "mutate_prob": self.mutate_prob,
-            "crossover_prob": self.crossover_prob,
-            "iterations": self.iterations,
-            "top_k": self.top_k,
-            "seed": self.seed,
-            "zen_alpha": self.zen_alpha,
-            "zen_batch": self.zen_batch,
-            "zen_repeats": self.zen_repeats,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SearchParams":
@@ -471,13 +426,10 @@ class Constraint:
     max_lut: int | None = None
     max_latency_s: float | None = None
     min_gops: float | None = None
-    objective: str = "maximize_throughput"
 
     def __post_init__(self):
         if self.max_dsp is None and self.max_lut is None:
             raise ValueError("at least one resource bound (max_dsp or max_lut) is required")
-        if self.objective not in ("maximize_throughput", "minimize_latency"):
-            raise ValueError(f"unknown objective {self.objective!r}")
 
     def rejects(self, report: PerfReport) -> str | None:
         if self.max_dsp is not None and report.dsp > self.max_dsp:
@@ -491,23 +443,11 @@ class Constraint:
         return None
 
     def to_dict(self) -> dict:
-        return {
-            "max_dsp": self.max_dsp,
-            "max_lut": self.max_lut,
-            "max_latency_s": self.max_latency_s,
-            "min_gops": self.min_gops,
-            "objective": self.objective,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Constraint":
-        return cls(
-            max_dsp=d.get("max_dsp"),
-            max_lut=d.get("max_lut"),
-            max_latency_s=d.get("max_latency_s"),
-            min_gops=d.get("min_gops"),
-            objective=d.get("objective", "maximize_throughput"),
-        )
+        return cls(**{f.name: d.get(f.name) for f in fields(cls)})
 
 
 def effective_budget(budget: HardwareBudget, constraint: Constraint) -> HardwareBudget:
@@ -593,8 +533,22 @@ def _evaluate_candidate(
     if reason is not None:
         return CandidateEval(net, result.config, result.report, None, None,
                              reject_reason=reason)
+    nn_val, zen_val = zero_shot_scores(net, space, params, params.seed)
+    return CandidateEval(net, result.config, result.report, nn_val, zen_val,
+                         degenerate=zen_val is None)
+
+
+def zero_shot_scores(
+    net: SubNetwork,
+    space: SearchSpace,
+    params: SearchParams,
+    seed: int,
+) -> tuple[float, float | None]:
+    """nn_degree and Zen score of one genome. Weight and Zen input seeds
+    derive from (seed, genome digest); the Zen score is None when the
+    network's perturbation response degenerates."""
     nn_val = zeroshot.nn_degree(space, net)
-    weight_seed, zen_seed = derive_seeds(params.seed, net.digest())
+    weight_seed, zen_seed = derive_seeds(seed, net.digest())
     try:
         hybrid = instantiate(net, space, weight_seed)
         zen_val = zeroshot.zen_score(
@@ -604,25 +558,26 @@ def _evaluate_candidate(
             repeats=params.zen_repeats,
             rng=np.random.default_rng(zen_seed),
         )
-        return CandidateEval(net, result.config, result.report, nn_val, zen_val)
     except NonFiniteScore:
-        return CandidateEval(net, result.config, result.report, nn_val, None,
-                             degenerate=True)
+        return nn_val, None
+    return nn_val, zen_val
+
+
+def rank_scores(scores: Sequence[tuple[float, float | None]]) -> list[int]:
+    """Combined rank of every (nn_degree, zen) pair, in input order. A
+    degenerate entry (Zen None) ranks 2n, behind every scored one."""
+    scored = [i for i, (_, zen) in enumerate(scores) if zen is not None]
+    ranks = zeroshot.combined_ranks([scores[i] for i in scored]) if scored else []
+    out = [2 * len(scores)] * len(scores)
+    for i, r in zip(scored, ranks):
+        out[i] = r
+    return out
 
 
 def _rank_pool(pool: list[CandidateEval]) -> dict[int, int]:
     """Combined rank per candidate digest; degenerate candidates rank last."""
-    n = len(pool)
-    scored = [c for c in pool if not c.degenerate]
-    pairs = [(c.nn_degree, c.zen) for c in scored]
-    ranks = zeroshot.combined_ranks(pairs) if pairs else []
-    out = {}
-    for c, r in zip(scored, ranks):
-        out[c.net.digest()] = r
-    for c in pool:
-        if c.degenerate:
-            out[c.net.digest()] = 2 * n
-    return out
+    ranks = rank_scores([(c.nn_degree, None if c.degenerate else c.zen) for c in pool])
+    return {c.net.digest(): r for c, r in zip(pool, ranks)}
 
 
 def cosearch(

@@ -178,6 +178,29 @@ class TestOracleCompareCmd:
         assert (out / "comparison.csv").exists()
 
 
+@pytest.mark.parametrize("argv,content", [
+    (["oracle-compare", "--workloads", "{f}"], "{not json"),
+    (["reproduce-tables", "--data", "{f}"], "[1, 2,"),
+    (["reproduce-tables", "--workloads", "{f}"], "{not json"),
+    (["--config", "{f}", "kendall", "x.csv"], None),
+    (["oracle-compare", "--workloads", "{f}"], None),
+    (["kendall", "{f}"], None),
+    (["score", "--genomes", "{f}"], None),
+    (["search-accel", "--genomes", "{f}"], None),
+])
+def test_bad_input_file_exits_2(tmp_path, capsys, argv, content):
+    # Malformed JSON (content given) or a missing file (None) is a typed
+    # error naming the file, not a traceback.
+    f = tmp_path / "input"
+    if content is not None:
+        f.write_text(content)
+    argv = [a.replace("{f}", str(f)) for a in argv]
+    rc = main(["--output", str(tmp_path / "out"), *argv])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(f) in err
+
+
 class TestConfigResolution:
     def test_env_override(self, tmp_path):
         doc = apply_env_overrides({}, {"CHUNKNAS_BUDGET_LUT_TOTAL": "90000"})

@@ -161,8 +161,7 @@ class TestFineSearch:
         budget = small_budget()
         coarse = coarse_search(layers, budget)
         searched = fine_search(layers, budget, coarse)
-        unsearched = fine_search(layers, budget, coarse,
-                                 search_dataflows=False, finetune=False)
+        unsearched = fine_search(layers, budget, coarse, search=False)
         assert searched.interval_cycles <= unsearched.interval_cycles
 
     def test_buffer_is_minimal(self):
@@ -231,6 +230,22 @@ class TestSearchAccelerator:
              "adder": [4, 8, 16, 32, 64]},
         )
         assert full.report.throughput_gops >= 0.95 * oracle.report.throughput_gops
+
+    @pytest.mark.filterwarnings("ignore::chunknas.cosearch.NoConvLayers")
+    @pytest.mark.parametrize("kind,phases", [
+        (LayerType.CONV, {"coarse_phase": False}),
+        (LayerType.ADDER, {"fine_phase": False}),
+    ])
+    def test_ablation_hand_tile_over_buffer_is_infeasible(self, kind, phases):
+        # The hand tile (1, 16, 16, 8, 8) of a 5x5 layer needs about 20 kB,
+        # more than the 18432 B of four block RAMs: a typed search failure,
+        # not a tile error.
+        budget = HardwareBudget(dsp_total=64, lut_total=12000,
+                                bram_bits_total=4 * 36864,
+                                dsp_reserve_frac=0.5, lut_overhead=500)
+        layers = [LayerDescriptor(kind, 32, 32, 5, 1, 1, 16, 16)]
+        with pytest.raises(InfeasibleBudget, match=f"chunk {kind.short}"):
+            search_accelerator_layers(layers, budget, COEFFS, **phases)
 
 
 class TestOracle:
