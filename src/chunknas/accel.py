@@ -9,8 +9,10 @@ stationary-operand reuse rule of the chosen loop order.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, fields
 from enum import IntEnum
 from typing import Sequence
 
@@ -195,42 +197,17 @@ class HardwareBudget:
         }[op_type]
 
     def to_dict(self) -> dict:
-        return {
-            "dsp_total": self.dsp_total,
-            "lut_total": self.lut_total,
-            "bram_bits_total": self.bram_bits_total,
-            "dram_bandwidth_bytes_per_cycle": self.dram_bandwidth,
-            "frequency_hz": self.frequency_hz,
-            "act_bits": self.act_bits,
-            "conv_w_bits": self.conv_w_bits,
-            "shift_w_bits": self.shift_w_bits,
-            "adder_w_bits": self.adder_w_bits,
-            "conv_out_bits": self.conv_out_bits,
-            "shift_out_bits": self.shift_out_bits,
-            "adder_out_bits": self.adder_out_bits,
-            "dsp_reserve_frac": self.dsp_reserve_frac,
-            "lut_overhead": self.lut_overhead,
-        }
+        return {_BUDGET_KEYS.get(f.name, f.name): getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "HardwareBudget":
-        defaults = cls()
-        return cls(
-            dsp_total=d.get("dsp_total", defaults.dsp_total),
-            lut_total=d.get("lut_total", defaults.lut_total),
-            bram_bits_total=d.get("bram_bits_total", defaults.bram_bits_total),
-            dram_bandwidth=d.get("dram_bandwidth_bytes_per_cycle", defaults.dram_bandwidth),
-            frequency_hz=d.get("frequency_hz", defaults.frequency_hz),
-            act_bits=d.get("act_bits", defaults.act_bits),
-            conv_w_bits=d.get("conv_w_bits", defaults.conv_w_bits),
-            shift_w_bits=d.get("shift_w_bits", defaults.shift_w_bits),
-            adder_w_bits=d.get("adder_w_bits", defaults.adder_w_bits),
-            conv_out_bits=d.get("conv_out_bits", defaults.conv_out_bits),
-            shift_out_bits=d.get("shift_out_bits", defaults.shift_out_bits),
-            adder_out_bits=d.get("adder_out_bits", defaults.adder_out_bits),
-            dsp_reserve_frac=d.get("dsp_reserve_frac", defaults.dsp_reserve_frac),
-            lut_overhead=d.get("lut_overhead", defaults.lut_overhead),
-        )
+        """Missing keys keep their defaults; unknown keys are ignored."""
+        keys = {f.name: _BUDGET_KEYS.get(f.name, f.name) for f in fields(cls)}
+        return cls(**{name: d[key] for name, key in keys.items() if key in d})
+
+
+# JSON keys of HardwareBudget fields whose key spells out the unit.
+_BUDGET_KEYS = {"dram_bandwidth": "dram_bandwidth_bytes_per_cycle"}
 
 
 @dataclass(frozen=True)
@@ -359,8 +336,7 @@ def _tile_bytes(g: _LayerGeom, tci, tco, th, tw):
     return in_bytes, w_bytes, out_bytes
 
 
-def _working_set(g: _LayerGeom, tci, tco, th, tw):
-    in_b, w_b, o_b = _tile_bytes(g, tci, tco, th, tw)
+def _working_set(in_b, w_b, o_b):
     return 2.0 * (in_b + w_b + o_b)  # double buffered
 
 
@@ -368,31 +344,36 @@ def _ceil_div(a, b):
     return -(-a // b)
 
 
-def _layer_cycles(g: _LayerGeom, tci, tco, th, tw, pe_count: int, bandwidth: float):
-    """Cycle counts for all four loop orders; returns (compute, {order: cycles})."""
+def _layer_terms(g: _LayerGeom, tci, tco, th, tw, bandwidth: float):
+    """PE-independent part of the cost model: (working set, tiles, MACs per
+    tile, memory cycles of the four loop orders stacked on a leading axis in
+    LoopOrder order). Memory cycles charge DRAM traffic under the
+    stationary-operand reuse rule of each order."""
     n_ci = _ceil_div(g.ci, tci)
     n_co = _ceil_div(g.co, tco)
     n_h = _ceil_div(g.h, th)
     n_w = _ceil_div(g.w, tw)
     tiles = n_ci * n_co * n_h * n_w
     tile_macs = tci * tco * th * tw * g.kernel ** 2
-    compute = tiles * _ceil_div(tile_macs, pe_count)
 
     in_b, w_b, o_b = _tile_bytes(g, tci, tco, th, tw)
     dist_w = n_co * n_ci
     dist_o = n_co * n_h * n_w
     dist_i = (n_ci if g.dense else n_co) * n_h * n_w
-    traffic = {
-        LoopOrder.WS: dist_w * w_b + tiles * (in_b + o_b),
-        LoopOrder.OS: dist_o * o_b + tiles * (in_b + w_b),
-        LoopOrder.IS: dist_i * in_b + tiles * (w_b + o_b),
-        LoopOrder.RS: dist_w * w_b + dist_i * in_b + tiles * o_b,
-    }
-    cycles = {}
-    for order, t in traffic.items():
-        mem = np.ceil(t / bandwidth)
-        cycles[order] = np.maximum(compute, mem)
-    return compute, cycles
+    traffic = np.stack([
+        dist_w * w_b + tiles * (in_b + o_b),           # WS
+        dist_o * o_b + tiles * (in_b + w_b),           # OS
+        dist_i * in_b + tiles * (w_b + o_b),           # IS
+        dist_w * w_b + dist_i * in_b + tiles * o_b,    # RS
+    ])
+    return _working_set(in_b, w_b, o_b), tiles, tile_macs, np.ceil(traffic / bandwidth)
+
+
+def _cycles(tiles, tile_macs, mem, pe_count):
+    """max(compute, memory) per loop order under double buffering; compute
+    is tiles times ceil(tile MACs / PE count), and ``pe_count`` may be an
+    array that broadcasts against the tile terms."""
+    return np.maximum(tiles * _ceil_div(tile_macs, pe_count), mem)
 
 
 def layer_latency(
@@ -405,40 +386,41 @@ def layer_latency(
     if layer.op_type is not chunk.chunk_kind:
         raise ValueError(f"layer type {layer.op_type} does not match chunk {chunk.chunk_kind}")
     g = _geom(layer, budget)
-    tci, tco, th, tw = _clamp_tiles(g, chunk.dataflow.tiling)
-    ws = _working_set(g, tci, tco, th, tw)
+    ws, *terms = _layer_terms(g, *_clamp_tiles(g, chunk.dataflow.tiling), budget.dram_bandwidth)
     if ws > gb_bytes:
         raise TileExceedsBuffer(
             f"tile working set {ws:.0f} B exceeds buffer {gb_bytes} B"
         )
-    _, cycles = _layer_cycles(g, tci, tco, th, tw, chunk.pe_count, budget.dram_bandwidth)
-    return int(cycles[chunk.dataflow.loop_order])
+    return int(_cycles(*terms, chunk.pe_count)[chunk.dataflow.loop_order])
 
 
-def _pow2_ladder(limit: int) -> list[int]:
+@functools.lru_cache(maxsize=None)
+def _pow2_ladder(limit: int) -> tuple[int, ...]:
     vals = []
     v = 1
     while v < limit:
         vals.append(v)
         v *= 2
     vals.append(limit)
-    return sorted(set(vals))
+    return tuple(sorted(set(vals)))
 
 
-def tiling_candidates(layers: Sequence[LayerDescriptor]) -> list[tuple[int, ...]]:
-    """Power-of-two ladder per dimension up to the assigned set's max dims."""
+def tiling_candidates(layers: Sequence[LayerDescriptor]) -> np.ndarray:
+    """(A, 5) int64 array of tilings (t_n, t_cin, t_cout, t_h, t_w): the
+    power-of-two ladder per dimension up to the assigned set's max dims, in
+    lexicographic order."""
     if not layers:
-        return [(1, 1, 1, 1, 1)]
-    ci = max(l.in_channels // l.groups for l in layers)
-    co = max(l.out_channels for l in layers)
-    h = max(l.out_h for l in layers)
-    w = max(l.out_w for l in layers)
-    out = []
-    for tci in _pow2_ladder(ci):
-        for tco in _pow2_ladder(co):
-            for th in _pow2_ladder(h):
-                for tw in _pow2_ladder(w):
-                    out.append((1, tci, tco, th, tw))
+        return np.ones((1, 5), dtype=np.int64)
+    ladders = (
+        _pow2_ladder(max(l.in_channels // l.groups for l in layers)),
+        _pow2_ladder(max(l.out_channels for l in layers)),
+        _pow2_ladder(max(l.out_h for l in layers)),
+        _pow2_ladder(max(l.out_w for l in layers)),
+    )
+    grid = np.meshgrid(*ladders, indexing="ij")
+    out = np.ones((grid[0].size, 5), dtype=np.int64)
+    for col, dim in enumerate(grid, start=1):
+        out[:, col] = dim.ravel()
     return out
 
 
@@ -453,108 +435,90 @@ class ChunkEval:
     feasible_dataflows: int
 
 
+@dataclass
+class DataflowTable:
+    """One chunk's sweep: the best dataflow at every PE count."""
+
+    evals: dict[int, ChunkEval]
+
+    @property
+    def nodes(self) -> int:
+        return sum(ev.nodes for ev in self.evals.values())
+
+    @property
+    def feasible_dataflows(self) -> int:
+        return sum(ev.feasible_dataflows for ev in self.evals.values())
+
+
 def evaluate_dataflows(
     kind: LayerType,
     layers: Sequence[LayerDescriptor],
-    pe_count: int,
+    pe_counts: Sequence[int],
     gb_bytes: int,
     budget: HardwareBudget,
-) -> ChunkEval:
-    """Vectorized sweep of all (loop order, tiling) dataflows for one chunk.
+) -> DataflowTable:
+    """Vectorized sweep of all (loop order, tiling) dataflows for one chunk
+    at every PE count of ``pe_counts``.
 
-    Selection key: total cycles, then smaller buffer demand, then the
-    canonical loop-order preference WS < OS < IS < RS, then lexicographic
-    tiling. Raises EmptyFeasibleSet when no tiling fits the buffer.
+    Identical layers are folded into multiplicities, and the tilings, the
+    working sets and the memory cycles are computed once per distinct layer;
+    only the compute cycles depend on the PE count, so all PE counts are
+    evaluated in one broadcast. Selection key per PE count: total cycles,
+    then smaller buffer demand, then the canonical loop-order preference
+    WS < OS < IS < RS, then lexicographic tiling. Raises EmptyFeasibleSet
+    when no tiling fits the buffer.
     """
+    pes = list(pe_counts)
     if not layers:
-        return ChunkEval(Dataflow(LoopOrder.WS, (1, 1, 1, 1, 1)), 0, 0, 1, 4)
+        return DataflowTable({pe: ChunkEval(Dataflow(LoopOrder.WS, (1, 1, 1, 1, 1)), 0, 0, 1, 4)
+                              for pe in pes})
     for layer in layers:
         if layer.op_type is not kind:
             raise ValueError(f"layer {layer} assigned to chunk {kind}")
-    tilings = tiling_candidates(layers)
-    arr = np.asarray(tilings, dtype=np.int64)  # (A, 5)
-    t_ci, t_co, t_h, t_w = arr[:, 1], arr[:, 2], arr[:, 3], arr[:, 4]
-    a = len(tilings)
-    total = {order: np.zeros(a, dtype=np.float64) for order in LoopOrder}
+    folded = Counter(_geom(layer, budget) for layer in layers)
+    arr = tiling_candidates(layers)
+    a = len(arr)
+    pe_axis = np.asarray(pes, dtype=np.int64).reshape(-1, 1, 1)
+    total = np.zeros((len(pes), len(LoopOrder), a), dtype=np.float64)
     feasible = np.ones(a, dtype=bool)
     ws_max = np.zeros(a, dtype=np.float64)
-    for layer in layers:
-        g = _geom(layer, budget)
-        tci = np.minimum(t_ci, g.ci)
-        tco = np.minimum(t_co, g.co)
-        th = np.minimum(t_h, g.h)
-        tw = np.minimum(t_w, g.w)
-        ws = _working_set(g, tci, tco, th, tw)
+    for g, count in folded.items():
+        ws, *terms = _layer_terms(g, *_clamp_tiles(g, arr.T), budget.dram_bandwidth)
         feasible &= ws <= gb_bytes
         ws_max = np.maximum(ws_max, ws)
-        _, cycles = _layer_cycles(g, tci, tco, th, tw, pe_count, budget.dram_bandwidth)
-        for order in LoopOrder:
-            total[order] += cycles[order]
-    nodes = 4 * a
+        # Integer cycle counts: the float64 sums stay exact.
+        total += count * _cycles(*terms, pe_axis)
     if not feasible.any():
         raise EmptyFeasibleSet(
             f"no tiling fits a {gb_bytes} B buffer for chunk {kind.short}"
         )
-    best = None
-    n_feasible = int(feasible.sum()) * 4
-    for order in LoopOrder:
-        cyc = np.where(feasible, total[order], np.inf)
-        idx = int(np.argmin(cyc))
-        cand_cycles = cyc[idx]
-        # Refine ties within this order deterministically.
-        tied = np.flatnonzero(cyc == cand_cycles)
-        key = min((ws_max[i], tuple(arr[i])) for i in tied)
-        entry = (float(cand_cycles), key[0], int(order), key[1])
-        if best is None or entry < best:
-            best = entry
-    cycles_v, ws_v, order_idx, tiling = best
-    return ChunkEval(
-        dataflow=Dataflow(LoopOrder(order_idx), tiling),
-        cycles=int(cycles_v),
-        min_gb=math.ceil(ws_v),
-        nodes=nodes,
-        feasible_dataflows=n_feasible,
-    )
-
-
-def enumerate_dataflows(
-    chunk_kind: LayerType,
-    layers: Sequence[LayerDescriptor],
-    pe_count: int,
-    gb_bytes: int,
-    budget: HardwareBudget,
-) -> list[Dataflow]:
-    """All feasible dataflows in canonical order (loop order, then tiling)."""
-    tilings = tiling_candidates(layers)
-    feasible_tilings = []
-    for t in tilings:
-        ok = True
-        for layer in layers:
-            g = _geom(layer, budget)
-            tci, tco, th, tw = _clamp_tiles(g, t)
-            if _working_set(g, tci, tco, th, tw) > gb_bytes:
-                ok = False
-                break
-        if ok:
-            feasible_tilings.append(t)
-    if not feasible_tilings:
-        raise EmptyFeasibleSet(f"no tiling fits a {gb_bytes} B buffer")
-    return [
-        Dataflow(order, t)
-        for order in LoopOrder
-        for t in feasible_tilings
-    ]
+    n_feasible = 4 * int(feasible.sum())
+    evals = {}
+    for pe, cyc in zip(pes, np.where(feasible, total, np.inf)):
+        best = cyc.min()
+        order, tile = np.nonzero(cyc == best)
+        # lexsort's last key is the primary one: buffer demand, loop order,
+        # then the tiling's columns left to right.
+        pick = np.lexsort((*arr[tile].T[::-1], order, ws_max[tile]))[0]
+        evals[pe] = ChunkEval(
+            dataflow=Dataflow(LoopOrder(int(order[pick])), tuple(arr[tile[pick]])),
+            cycles=int(best),
+            min_gb=math.ceil(ws_max[tile[pick]]),
+            nodes=4 * a,
+            feasible_dataflows=n_feasible,
+        )
+    return DataflowTable(evals)
 
 
 def min_gb_size(cfg: AcceleratorConfig, layers: Sequence[LayerDescriptor],
                 budget: HardwareBudget) -> int:
     """Smallest buffer (bytes) that admits every assigned layer's tile set."""
     worst = 0.0
-    for layer in layers:
+    for layer in dict.fromkeys(layers):
         chunk = cfg.chunk_for(layer.op_type)
         g = _geom(layer, budget)
-        tci, tco, th, tw = _clamp_tiles(g, chunk.dataflow.tiling)
-        worst = max(worst, _working_set(g, tci, tco, th, tw))
+        tile_bytes = _tile_bytes(g, *_clamp_tiles(g, chunk.dataflow.tiling))
+        worst = max(worst, _working_set(*tile_bytes))
     return math.ceil(worst)
 
 
@@ -599,10 +563,11 @@ def chunk_cycle_totals(
     cfg: AcceleratorConfig,
     budget: HardwareBudget,
 ) -> dict[LayerType, int]:
+    """Busy cycles per chunk; identical layers are costed once."""
     totals = {LayerType.CONV: 0, LayerType.SHIFT: 0, LayerType.ADDER: 0}
-    for layer in layers:
+    for layer, count in Counter(layers).items():
         chunk = cfg.chunk_for(layer.op_type)
-        totals[layer.op_type] += layer_latency(layer, chunk, cfg.gb_bytes, budget)
+        totals[layer.op_type] += count * layer_latency(layer, chunk, cfg.gb_bytes, budget)
     return totals
 
 

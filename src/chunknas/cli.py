@@ -21,7 +21,12 @@ from . import cosearch as cs
 from . import zeroshot
 from .config import ParseError, RunConfig, load_run_config, read_json, read_text
 from .refdata import bundled_workloads, reference_tables
-from .reproduce import compare_workloads, run_reference_checks
+from .reproduce import (
+    check_suite,
+    check_tables,
+    compare_workloads,
+    run_reference_checks,
+)
 from .search_space import MembershipViolation, SubNetwork, validate
 
 PERF_CSV_COLUMNS = [
@@ -277,10 +282,21 @@ def _pareto_rows(result: cs.CoSearchResult) -> list[dict]:
     return rows
 
 
+def _read_tables(path: str) -> dict:
+    tables = read_json(path, "reference data")
+    check_tables(tables, f"reference data {path}")
+    return tables
+
+
+def _read_suite(path: str) -> dict:
+    suite = read_json(path, "workload suite")
+    check_suite(suite, f"workload suite {path}")
+    return suite
+
+
 def cmd_reproduce_tables(args, cfg: RunConfig) -> int:
-    tables = reference_tables() if args.data is None else read_json(args.data, "reference data")
-    suite = (bundled_workloads() if args.workloads is None
-             else read_json(args.workloads, "workload suite"))
+    tables = reference_tables() if args.data is None else _read_tables(args.data)
+    suite = bundled_workloads() if args.workloads is None else _read_suite(args.workloads)
     if args.no_workloads:
         suite = None
     report = run_reference_checks(tables, suite)
@@ -296,8 +312,7 @@ def cmd_reproduce_tables(args, cfg: RunConfig) -> int:
 
 
 def cmd_oracle_compare(args, cfg: RunConfig) -> int:
-    suite = (bundled_workloads() if args.workloads is None
-             else read_json(args.workloads, "workload suite"))
+    suite = bundled_workloads() if args.workloads is None else _read_suite(args.workloads)
     comparisons = compare_workloads(suite, cfg.coeffs, node_cap=args.node_cap)
     rows = [c.to_dict() for c in comparisons]
     ok = all(

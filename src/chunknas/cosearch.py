@@ -27,6 +27,7 @@ from .accel import (
     ChunkConfig,
     ChunkEval,
     Dataflow,
+    EmptyFeasibleSet,
     EnergyCoeffs,
     HardwareBudget,
     InfeasibleBudget,
@@ -142,23 +143,25 @@ def _chunk_evals(kind: LayerType, layers: Sequence[LayerDescriptor], pes: Sequen
                  gb: int, budget: HardwareBudget, search: bool,
                  stats: SearchStats) -> dict[int, ChunkEval]:
     """Per-chunk table: for every PE count, the chunk's best dataflow by full
-    sweep, or with ``search`` off the hand dataflow scored layer by layer."""
-    table = {}
-    for pe in pes:
-        if search:
-            ev = evaluate_dataflows(kind, layers, pe, gb, budget)
-        else:
-            df = manual_dataflow(layers)
-            chunk = ChunkConfig(kind, pe, df)
-            try:
-                cycles = sum(layer_latency(l, chunk, gb, budget) for l in layers)
-            except TileExceedsBuffer as exc:
-                raise InfeasibleBudget(
-                    f"hand dataflow tile {df.tiling} of chunk {kind.short} does not fit: {exc}"
-                ) from exc
-            ev = ChunkEval(df, cycles, 0, 1, 1)
+    sweep, or with ``search`` off the hand dataflow scored layer by layer.
+    A buffer no dataflow fits is an infeasible budget."""
+    if search:
+        try:
+            table = evaluate_dataflows(kind, layers, pes, gb, budget).evals
+        except EmptyFeasibleSet as exc:
+            raise InfeasibleBudget(str(exc)) from exc
+    else:
+        df = manual_dataflow(layers)
+        try:
+            table = {pe: ChunkEval(df, sum(layer_latency(l, ChunkConfig(kind, pe, df), gb, budget)
+                                           for l in layers), 0, 1, 1)
+                     for pe in pes}
+        except TileExceedsBuffer as exc:
+            raise InfeasibleBudget(
+                f"hand dataflow tile {df.tiling} of chunk {kind.short} does not fit: {exc}"
+            ) from exc
+    for ev in table.values():
         stats.add(SearchStats(ev.nodes, ev.nodes))
-        table[pe] = ev
     return table
 
 

@@ -15,6 +15,7 @@ from typing import Sequence
 
 from . import cosearch as cs
 from .accel import EnergyCoeffs, HardwareBudget, chunk_lut, fit_energy_coeffs
+from .config import ParseError
 from .refdata import energy_fit_rows, op_row, row_ops
 from .search_space import LayerDescriptor, MacProfile, ops_from_macs
 
@@ -22,6 +23,77 @@ THROUGHPUT_TOL = 0.005
 ENERGY_TOL = 0.02
 ORACLE_RATIO_MIN = 0.95
 NODE_RATIO_MIN = 10.0
+
+
+_NUM = (int, float)
+
+# Required keys of the two input documents, as a nested spec: a type, a
+# one-element list [item spec] for an array, or a dict {key: spec}.
+_TABLES_SHAPE = {
+    "counting_identities": [{"name": str, "conv_macs_m": _NUM, "shift_macs_m": _NUM,
+                             "adder_macs_m": _NUM, "expected_adds_m": _NUM}],
+    "op_energy_rows": [{"dataset": str, "method": str, "group": str, "mults_m": _NUM,
+                        "shifts_m": _NUM, "adds_m": _NUM, "energy_mj": _NUM}],
+    "hw_rows": [{"dataset": str, "method": str, "latency_ms": str, "gops": _NUM,
+                 "fps": _NUM}],
+    "resource_check": {"pe_conv": int, "expected_dsp": int, "klut_band": [_NUM],
+                       "eq9_band_rows": [{"dataset": str, "method": str, "in_band": bool}]},
+}
+_SUITE_SHAPE = {
+    "budget": dict,
+    "grid": {"conv": [int], "shift": [int], "adder": [int]},
+    "workloads": [{"name": str, "layers": [dict]}],
+}
+
+
+def _check_shape(doc, shape, where: str) -> None:
+    """Raise ParseError naming the first place where ``doc`` lacks a key or
+    holds a value of the wrong JSON type."""
+    if isinstance(shape, dict):
+        if not isinstance(doc, dict):
+            raise ParseError(f"{where}: expected a JSON object")
+        for key, sub in shape.items():
+            if key not in doc:
+                raise ParseError(f"{where}: missing key {key!r}")
+            _check_shape(doc[key], sub, f"{where}.{key}")
+    elif isinstance(shape, list):
+        if not isinstance(doc, list):
+            raise ParseError(f"{where}: expected a JSON array")
+        for i, item in enumerate(doc):
+            _check_shape(item, shape[0], f"{where}[{i}]")
+    elif not isinstance(doc, shape):
+        raise ParseError(f"{where}: unexpected value {doc!r}")
+
+
+def check_tables(tables, where: str) -> None:
+    """Raise ParseError unless ``tables`` is reference data whose hardware
+    and band rows name existing op rows."""
+    _check_shape(tables, _TABLES_SHAPE, where)
+    refs = [(r["dataset"], r.get("ops_ref", r["method"])) for r in tables["hw_rows"]]
+    refs += [(e["dataset"], e["method"]) for e in tables["resource_check"]["eq9_band_rows"]]
+    try:
+        for dataset, method in refs:
+            op_row(tables, dataset, method)
+    except KeyError as exc:
+        raise ParseError(f"{where}: {exc.args[0]}") from exc
+
+
+def check_suite(suite, where: str) -> None:
+    """Raise ParseError unless ``suite`` is a non-empty workload suite with
+    positive grid PE counts whose budget and layers parse."""
+    _check_shape(suite, _SUITE_SHAPE, where)
+    if not suite["workloads"]:
+        raise ParseError(f"{where}: no workloads")
+    for kind, pts in suite["grid"].items():
+        if not pts or min(pts) < 1:
+            raise ParseError(f"{where}: grid for {kind} must hold positive PE counts")
+    try:
+        HardwareBudget.from_dict(suite["budget"])
+        for wl in suite["workloads"]:
+            for d in wl["layers"]:
+                LayerDescriptor.from_dict(d)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: {exc!r}") from exc
 
 
 @dataclass

@@ -1,12 +1,22 @@
 """Independent straight-line references used as oracles by the tests.
 
 Everything here is implemented with plain loops and explicit formulas,
-deliberately not reusing the package's forward engine.
+deliberately not reusing the package's forward engine or its vectorized
+dataflow sweep.
 """
 
 import math
 
 import numpy as np
+
+from chunknas.accel import (
+    ChunkConfig,
+    ChunkEval,
+    Dataflow,
+    EmptyFeasibleSet,
+    LoopOrder,
+    layer_latency,
+)
 
 BN_EPS = 1e-5
 
@@ -79,3 +89,63 @@ def ref_zen_score(weights, strides, x, eps, alpha):
         for k in range(per_sample.shape[0]):
             score += math.log(math.sqrt(float(per_sample[k].mean()) + BN_EPS))
     return score
+
+
+def _ladder(limit):
+    vals = [1]
+    while vals[-1] * 2 < limit:
+        vals.append(vals[-1] * 2)
+    return sorted(set(vals + [limit]))
+
+
+def ref_tilings(layers):
+    """Power-of-two ladder per tiled dimension up to the layer set's maxima."""
+    ci = max(l.in_channels // l.groups for l in layers)
+    co = max(l.out_channels for l in layers)
+    h = max(l.out_h for l in layers)
+    w = max(l.out_w for l in layers)
+    return [(1, a, b, c, d) for a in _ladder(ci) for b in _ladder(co)
+            for c in _ladder(h) for d in _ladder(w)]
+
+
+def ref_working_set(layer, tiling, budget):
+    """Double-buffered bytes of one layer's live input, weight and output tiles."""
+    _, tci, tco, th, tw = tiling
+    tci = min(tci, layer.in_channels // layer.groups)
+    tco = min(tco, layer.out_channels)
+    th = min(th, layer.out_h)
+    tw = min(tw, layer.out_w)
+    in_ch = tci if layer.groups == 1 else tco
+    in_rows = (th - 1) * layer.stride + layer.kernel
+    in_cols = (tw - 1) * layer.stride + layer.kernel
+    in_b = in_ch * in_rows * in_cols * budget.act_bits / 8
+    w_b = tco * tci * layer.kernel ** 2 * budget.weight_bits(layer.op_type) / 8
+    out_b = tco * th * tw * budget.out_bits(layer.op_type) / 8
+    return 2.0 * (in_b + w_b + out_b)
+
+
+def ref_dataflows(layers, gb_bytes, budget):
+    """Every dataflow whose tiles fit the buffer for all layers, loop order
+    major, tilings in lexicographic order; EmptyFeasibleSet when none does."""
+    fits = [t for t in ref_tilings(layers)
+            if all(ref_working_set(l, t, budget) <= gb_bytes for l in layers)]
+    if not fits:
+        raise EmptyFeasibleSet(f"no tiling fits a {gb_bytes} B buffer")
+    return [Dataflow(order, t) for order in LoopOrder for t in fits]
+
+
+def ref_best_dataflow(kind, layers, pe, gb_bytes, budget):
+    """Brute-force sweep over scalar layer_latency: the dataflow minimizing
+    (total cycles, buffer demand, loop order, tiling), with the sweep's
+    accounting."""
+    best = None
+    flows = ref_dataflows(layers, gb_bytes, budget)
+    for df in flows:
+        cycles = sum(layer_latency(l, ChunkConfig(kind, pe, df), gb_bytes, budget)
+                     for l in layers)
+        ws = max(ref_working_set(l, df.tiling, budget) for l in layers)
+        key = (cycles, ws, int(df.loop_order), df.tiling)
+        if best is None or key < best[0]:
+            best = (key, df)
+    (cycles, ws, _, _), df = best
+    return ChunkEval(df, cycles, math.ceil(ws), 4 * len(ref_tilings(layers)), len(flows))

@@ -16,15 +16,16 @@ from chunknas.accel import (
     SingularSystem,
     TileExceedsBuffer,
     chunk_lut,
-    enumerate_dataflows,
     evaluate_dataflows,
     fit_energy_coeffs,
     layer_latency,
     min_gb_size,
     pipeline_perf,
     resource_usage,
+    tiling_candidates,
 )
 from chunknas.search_space import LayerDescriptor, LayerType, OpCounts
+from oracles import ref_dataflows
 
 
 def full_dataflow(layer, order=LoopOrder.WS):
@@ -164,18 +165,22 @@ class TestLayerLatency:
 class TestEnumerateDataflows:
     def test_four_orders_per_tiling(self):
         layer = LayerDescriptor(LayerType.CONV, 8, 8, 1, 1, 1, 8, 8)
-        flows = enumerate_dataflows(LayerType.CONV, [layer], 8, 1 << 20, HardwareBudget())
+        flows = ref_dataflows([layer], 1 << 20, HardwareBudget())
         orders = {df.loop_order for df in flows}
         assert orders == set(LoopOrder)
         assert len(flows) % 4 == 0
         # Power-of-two ladder: channels {1,2,4,8} and dims {1,2,4,8}.
         tilings = {df.tiling for df in flows if df.loop_order is LoopOrder.WS}
         assert len(tilings) == 4 * 4 * 4 * 4
+        assert [df.tiling for df in flows if df.loop_order is LoopOrder.WS] \
+            == [tuple(t) for t in tiling_candidates([layer]).tolist()]
 
     def test_infeasible_buffer_raises(self):
         layer = LayerDescriptor(LayerType.CONV, 8, 8, 3, 1, 1, 8, 8)
         with pytest.raises(EmptyFeasibleSet):
-            enumerate_dataflows(LayerType.CONV, [layer], 8, 8, HardwareBudget())
+            ref_dataflows([layer], 8, HardwareBudget())
+        with pytest.raises(EmptyFeasibleSet):
+            evaluate_dataflows(LayerType.CONV, [layer], [8], 8, HardwareBudget())
 
     def test_evaluate_matches_scalar_model(self):
         # The vectorized sweep must agree with layer_latency evaluated
@@ -191,7 +196,7 @@ class TestEnumerateDataflows:
                 for _ in range(rng.randint(1, 3))
             ]
             pe = rng.choice([4, 16, 64])
-            ev = evaluate_dataflows(kind, layers, pe, 1 << 18, budget)
+            ev = evaluate_dataflows(kind, layers, [pe], 1 << 18, budget).evals[pe]
             total = sum(
                 layer_latency(l, ChunkConfig(kind, pe, ev.dataflow), 1 << 18, budget)
                 for l in layers
@@ -199,15 +204,14 @@ class TestEnumerateDataflows:
             assert total == ev.cycles
 
     def test_evaluate_is_argmin_over_enumeration(self):
-        rng = random.Random(4)
         budget = HardwareBudget(dram_bandwidth=4.0)
         layers = [LayerDescriptor(LayerType.SHIFT, 8, 8, 3, 1, 1, 8, 8)]
         pe = 16
         gb = 4096
-        ev = evaluate_dataflows(LayerType.SHIFT, layers, pe, gb, budget)
+        ev = evaluate_dataflows(LayerType.SHIFT, layers, [pe], gb, budget).evals[pe]
         best = min(
             sum(layer_latency(l, ChunkConfig(LayerType.SHIFT, pe, df), gb, budget) for l in layers)
-            for df in enumerate_dataflows(LayerType.SHIFT, layers, pe, gb, budget)
+            for df in ref_dataflows(layers, gb, budget)
         )
         assert ev.cycles == best
 

@@ -5,7 +5,7 @@ import pytest
 
 from chunknas.cli import main, read_genome_file
 from chunknas.config import ParseError, RunConfig, apply_env_overrides, load_run_config
-from chunknas.refdata import reference_tables
+from chunknas.refdata import bundled_workloads, reference_tables
 from chunknas.search_space import default_space, sample_random
 
 
@@ -178,6 +178,9 @@ class TestOracleCompareCmd:
         assert (out / "comparison.csv").exists()
 
 
+SUITE_HEAD = '{"budget": {}, "grid": {"conv": [8], "shift": [1], "adder": [1]}, "workloads": '
+
+
 @pytest.mark.parametrize("argv,content", [
     (["oracle-compare", "--workloads", "{f}"], "{not json"),
     (["reproduce-tables", "--data", "{f}"], "[1, 2,"),
@@ -187,10 +190,28 @@ class TestOracleCompareCmd:
     (["kendall", "{f}"], None),
     (["score", "--genomes", "{f}"], None),
     (["search-accel", "--genomes", "{f}"], None),
+    (["oracle-compare", "--workloads", "{f}"], "{}"),
+    (["oracle-compare", "--workloads", "{f}"], "[]"),
+    (["reproduce-tables", "--data", "{f}"], "{}"),
+    (["reproduce-tables", "--data", "{f}"], "[]"),
+    (["reproduce-tables", "--workloads", "{f}"], "{}"),
+    pytest.param(["oracle-compare", "--workloads", "{f}"],
+                 SUITE_HEAD + '[{"name": "w"}]}', id="workload-without-layers"),
+    pytest.param(["oracle-compare", "--workloads", "{f}"],
+                 SUITE_HEAD + '[{"name": "w", "layers": [{}]}]}', id="layer-without-keys"),
+    pytest.param(["oracle-compare", "--workloads", "{f}"], SUITE_HEAD + "[]}", id="no-workloads"),
+    pytest.param(["oracle-compare", "--workloads", "{f}"],
+                 json.dumps({**bundled_workloads(), "grid": {"conv": [], "shift": [1],
+                                                             "adder": [1]}}),
+                 id="empty-grid"),
+    pytest.param(["reproduce-tables", "--data", "{f}"],
+                 json.dumps({**reference_tables(), "hw_rows": [
+                     {**reference_tables()["hw_rows"][0], "method": "unknown"}]}),
+                 id="dangling-op-row"),
 ])
 def test_bad_input_file_exits_2(tmp_path, capsys, argv, content):
-    # Malformed JSON (content given) or a missing file (None) is a typed
-    # error naming the file, not a traceback.
+    # Malformed JSON, valid JSON of the wrong shape (content given) or a
+    # missing file (None) is a typed error naming the file, not a traceback.
     f = tmp_path / "input"
     if content is not None:
         f.write_text(content)

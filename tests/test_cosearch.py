@@ -1,4 +1,7 @@
+import json
 import random
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from chunknas.accel import (
     InfeasibleBudget,
     LoopOrder,
 )
+from chunknas.config import RunConfig
 from chunknas.cosearch import (
     Constraint,
     EmptyPopulation,
@@ -247,6 +251,14 @@ class TestSearchAccelerator:
         with pytest.raises(InfeasibleBudget, match=f"chunk {kind.short}"):
             search_accelerator_layers(layers, budget, COEFFS, **phases)
 
+    def test_tiny_buffer_is_infeasible(self):
+        # No tiling of a 3x3 conv layer fits the 8 B buffer of 64 bits of
+        # block RAM: the search reports an infeasible budget naming the
+        # chunk, which the co-search turns into a rejected candidate.
+        layers = [LayerDescriptor(LayerType.CONV, 4, 4, 3, 1, 1, 8, 8)]
+        with pytest.raises(InfeasibleBudget, match="chunk C"):
+            search_accelerator_layers(layers, HardwareBudget(bram_bits_total=64), COEFFS)
+
 
 class TestOracle:
     def test_single_point_grid(self):
@@ -257,7 +269,8 @@ class TestOracle:
         assert res.config.chunk_c.pe_count == 16
         from chunknas.accel import evaluate_dataflows
 
-        ev = evaluate_dataflows(LayerType.CONV, layers, 16, budget.gb_bytes_max, budget)
+        ev = evaluate_dataflows(LayerType.CONV, layers, [16], budget.gb_bytes_max,
+                                budget).evals[16]
         assert res.config.chunk_c.dataflow == ev.dataflow
 
     def test_node_cap(self):
@@ -341,6 +354,33 @@ class TestCosearch:
         assert r1.log == r2.log
         # Genomes are cached by digest: never more evaluations than candidates.
         assert r1.evaluations <= params.population + params.iterations * params.expand_size
+
+    def test_identical_under_threads(self):
+        # Pool threads share the cost model's tiling-ladder cache; a short
+        # switch interval makes them interleave inside it.
+        cfg = RunConfig()
+        params = SearchParams(population=4, expand_size=2, iterations=1, top_k=2, seed=5)
+
+        def run(threads):
+            res = cosearch(cfg.space, cfg.budget, cfg.constraint, params, cfg.coeffs,
+                           threads=threads)
+            return json.dumps([[r.to_dict() for r in res.population], res.log,
+                               res.evaluations], sort_keys=True)
+
+        serial = run(1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threaded = run(2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
+    def test_tiny_buffer_rejects_every_candidate(self):
+        space, _, constraint, params = self._setup()
+        budget = replace(small_budget(), bram_bits_total=64)
+        with pytest.raises(EmptyPopulation):
+            cosearch(space, budget, constraint, params, COEFFS)
 
     def test_entries_sorted_and_valid(self):
         space, budget, constraint, params = self._setup()

@@ -1,16 +1,31 @@
 """Property tests of the accelerator-search core on random small workloads:
 every search variant returns a design that fits its budget with a minimal
-buffer, or fails with ``InfeasibleBudget``; and the exhaustive oracle,
-restricted to the PE counts the full search chose, picks the same design."""
+buffer, or fails with ``InfeasibleBudget``; the exhaustive oracle,
+restricted to the PE counts the full search chose, picks the same design;
+and the per-chunk dataflow table equals a brute-force sweep over the scalar
+cost model at every PE count."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from chunknas.accel import HardwareBudget, InfeasibleBudget, min_gb_size
+from chunknas.accel import (
+    AcceleratorConfig,
+    ChunkConfig,
+    Dataflow,
+    EmptyFeasibleSet,
+    HardwareBudget,
+    InfeasibleBudget,
+    LoopOrder,
+    chunk_cycle_totals,
+    evaluate_dataflows,
+    layer_latency,
+    min_gb_size,
+)
 from chunknas.cosearch import oracle_layers, search_accelerator_layers
 from chunknas.search_space import LayerDescriptor, LayerType
+from oracles import ref_best_dataflow
 from test_cosearch import COEFFS
 
 CHANNELS = (1, 2, 3, 4, 8, 16, 32)
@@ -63,3 +78,57 @@ def test_oracle_at_chosen_pe_counts_agrees(layers, budget):
     oracle = oracle_layers(layers, budget, COEFFS,
                            {"conv": [c], "shift": [s], "adder": [a]})
     assert oracle.config == full.config
+
+
+@st.composite
+def small_layer(draw, kind) -> LayerDescriptor:
+    cin = draw(st.sampled_from((1, 2, 3, 4, 8)))
+    depthwise = draw(st.booleans())
+    cout = cin if depthwise else draw(st.sampled_from((1, 2, 3, 4, 8)))
+    size = draw(st.integers(1, 6))
+    return LayerDescriptor(kind, cin, cout, draw(st.sampled_from((1, 3))),
+                           draw(st.sampled_from((1, 2))), cin if depthwise else 1,
+                           size, size)
+
+
+@st.composite
+def chunk_workload(draw) -> tuple[LayerType, list[LayerDescriptor]]:
+    """One chunk's layer set with deliberate duplicates."""
+    kind = draw(st.sampled_from(list(LayerType)))
+    distinct = draw(st.lists(small_layer(kind), min_size=1, max_size=3))
+    return kind, draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=5))
+
+
+@settings(max_examples=40)
+@given(chunk_workload(), st.lists(st.integers(1, 64), min_size=1, max_size=3, unique=True),
+       st.integers(16, 1 << 13), st.sampled_from((1.0, 4.0, 16.0)))
+def test_table_equals_brute_force_sweep(workload, pes, gb, bandwidth):
+    kind, layers = workload
+    budget = HardwareBudget(dram_bandwidth=bandwidth)
+    try:
+        expected = {pe: ref_best_dataflow(kind, layers, pe, gb, budget) for pe in pes}
+    except EmptyFeasibleSet:
+        with pytest.raises(EmptyFeasibleSet):
+            evaluate_dataflows(kind, layers, pes, gb, budget)
+        return
+    table = evaluate_dataflows(kind, layers, pes, gb, budget)
+    assert table.evals == expected
+    assert table.nodes == sum(ev.nodes for ev in expected.values())
+
+
+dataflows = st.builds(Dataflow, st.sampled_from(list(LoopOrder)),
+                      st.tuples(st.just(1), *[st.integers(1, 9)] * 4))
+
+
+@given(st.lists(layer(), min_size=1, max_size=3).flatmap(
+           lambda distinct: st.lists(st.sampled_from(distinct), min_size=1, max_size=8)),
+       st.tuples(*[st.integers(1, 64)] * 3), st.tuples(*[dataflows] * 3))
+def test_folded_cycle_totals_equal_scalar_sum(layers, pes, flows):
+    budget = HardwareBudget()
+    chunks = [ChunkConfig(kind, pe, df) for kind, pe, df in zip(LayerType, pes, flows)]
+    cfg = AcceleratorConfig(*chunks, gb_bytes=budget.gb_bytes_max)
+    totals = chunk_cycle_totals(layers, cfg, budget)
+    for chunk in chunks:
+        assert totals[chunk.chunk_kind] == sum(
+            layer_latency(l, chunk, cfg.gb_bytes, budget)
+            for l in layers if l.op_type is chunk.chunk_kind)
