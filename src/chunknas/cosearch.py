@@ -392,6 +392,14 @@ def exhaustive_oracle(
 # ---------------------------------------------------------------------------
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class SearchParams:
     population: int = 100
@@ -413,6 +421,13 @@ class SearchParams:
         for p in (self.mutate_prob, self.crossover_prob):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("probabilities must lie in [0, 1]")
+        if not (_is_number(self.zen_alpha) and math.isfinite(self.zen_alpha)
+                and self.zen_alpha > 0):
+            raise ValueError(f"zen_alpha must be a finite number > 0, got {self.zen_alpha!r}")
+        if not _is_int(self.zen_batch) or self.zen_batch < 2:
+            raise ValueError(f"zen_batch must be an integer >= 2, got {self.zen_batch!r}")
+        if not _is_int(self.zen_repeats) or self.zen_repeats < 1:
+            raise ValueError(f"zen_repeats must be an integer >= 1, got {self.zen_repeats!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -8,7 +8,7 @@ affine) and ReLU except the last executed layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -58,27 +58,35 @@ def shift_weight_value(s, p) -> np.ndarray:
 
 
 def _pad_same(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    _, _, h, w = x.shape
+    b, c, h, w = x.shape
     out_h = -(-h // stride)
     out_w = -(-w // stride)
     pad_h = max((out_h - 1) * stride + kernel - h, 0)
     pad_w = max((out_w - 1) * stride + kernel - w, 0)
     if pad_h == 0 and pad_w == 0:
         return x
-    return np.pad(
-        x,
-        ((0, 0), (0, 0), (pad_h // 2, pad_h - pad_h // 2), (pad_w // 2, pad_w - pad_w // 2)),
-    )
+    xp = np.zeros((b, c, h + pad_h, w + pad_w), dtype=x.dtype)
+    xp[:, :, pad_h // 2 : pad_h // 2 + h, pad_w // 2 : pad_w // 2 + w] = x
+    return xp
 
 
-def _patches(x: np.ndarray, kernel: int, stride: int):
-    """Extract sliding windows: (B, C, H, W) -> (B, C, k*k, OH*OW) contiguous."""
+def _windows(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+    """Sliding windows of the same-padded input as a view: (B, C, OH, OW, k, k)."""
     xp = _pad_same(x, kernel, stride)
     win = np.lib.stride_tricks.sliding_window_view(xp, (kernel, kernel), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]
-    b, c, oh, ow, _, _ = win.shape
-    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c, kernel * kernel, oh * ow)
-    return cols, oh, ow
+    return win[:, :, ::stride, ::stride]
+
+
+def _cols(x: np.ndarray, kernel: int, stride: int):
+    """Dense-layer operand (B, C*k*k, OH*OW). A 1x1 stride-1 layer reads its
+    input as is (a view where the layout allows); larger kernels copy the
+    windows once."""
+    b, c, h, w = x.shape
+    if kernel == 1 and stride == 1:
+        return x.reshape(b, c, h * w), h, w
+    win = _windows(x, kernel, stride)
+    oh, ow = win.shape[2:4]
+    return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kernel * kernel, oh * ow), oh, ow
 
 
 @dataclass
@@ -94,45 +102,63 @@ class HybridLayer:
             raise ShapeMismatch(
                 f"expected input (B, {d.in_channels}, {d.in_h}, {d.in_w}), got {x.shape}"
             )
-        if d.op_type is LayerType.ADDER:
-            return self._forward_adder(x)
-        return self._forward_conv(x)
-
-    def _forward_conv(self, x: np.ndarray) -> np.ndarray:
-        d = self.desc
         if d.groups == 1:
-            cols, oh, ow = _patches(x, d.kernel, d.stride)
-            b = x.shape[0]
-            wmat = self.weight.reshape(d.out_channels, -1)
-            out = wmat @ cols.reshape(b, d.in_channels * d.kernel ** 2, oh * ow)
-            return out.reshape(b, d.out_channels, oh, ow)
+            if d.op_type is LayerType.ADDER:
+                return self._forward_adder_dense(x)
+            return self._forward_conv_dense(x)
         if d.groups == d.in_channels and d.out_channels == d.in_channels:
-            cols, oh, ow = _patches(x, d.kernel, d.stride)
-            w = self.weight.reshape(d.out_channels, d.kernel ** 2)
-            out = np.einsum("bckp,ck->bcp", cols, w, optimize=True)
-            return out.reshape(x.shape[0], d.out_channels, oh, ow)
+            if d.op_type is LayerType.ADDER:
+                return self._forward_adder_dw(x)
+            return self._forward_conv_dw(x)
         raise NotImplementedError(f"unsupported groups={d.groups}")
 
-    def _forward_adder(self, x: np.ndarray) -> np.ndarray:
+    def _forward_conv_dense(self, x: np.ndarray) -> np.ndarray:
         d = self.desc
-        cols, oh, ow = _patches(x, d.kernel, d.stride)
-        b = x.shape[0]
-        if d.groups == 1:
-            k = d.in_channels * d.kernel ** 2
-            flat = np.ascontiguousarray(
-                cols.reshape(b, k, oh * ow).transpose(0, 2, 1)
-            ).reshape(b * oh * ow, k)
-            wmat = self.weight.reshape(d.out_channels, k)
-            dist = cdist(flat, wmat, metric="cityblock")
-            out = -dist.reshape(b, oh * ow, d.out_channels).transpose(0, 2, 1)
-            return out.astype(x.dtype).reshape(b, d.out_channels, oh, ow)
-        if d.groups == d.in_channels and d.out_channels == d.in_channels:
-            w = self.weight.reshape(d.out_channels, d.kernel ** 2)
-            diff = cols - w[None, :, :, None]
-            np.abs(diff, out=diff)
-            out = -diff.sum(axis=2)
-            return out.reshape(b, d.out_channels, oh, ow)
-        raise NotImplementedError(f"unsupported groups={d.groups}")
+        cols, oh, ow = _cols(x, d.kernel, d.stride)
+        out = self.weight.reshape(d.out_channels, -1) @ cols
+        return out.reshape(x.shape[0], d.out_channels, oh, ow)
+
+    def _forward_conv_dw(self, x: np.ndarray) -> np.ndarray:
+        # One (k*k)-tap dot product per channel as a batched matmul over
+        # (C, k*k, B*OH*OW) taps. The result stays a (C, B, OH*OW)-major view,
+        # strides of size-1 axes included: the next layer's BLAS call sees them.
+        d = self.desc
+        win = _windows(x, d.kernel, d.stride)
+        b, c, oh, ow = win.shape[:4]
+        kk = d.kernel * d.kernel
+        taps = win.transpose(1, 4, 5, 0, 2, 3).reshape(c, kk, b * oh * ow)
+        out = np.matmul(self.weight.reshape(c, 1, kk), taps)
+        return out.reshape(c, b, oh * ow).transpose(1, 0, 2).reshape(b, c, oh, ow)
+
+    def _forward_adder_dense(self, x: np.ndarray) -> np.ndarray:
+        # cdist computes on float64 rows; stage them once, straight from the
+        # input (or window) layout. The result stays (B, OH*OW, O)-major.
+        d = self.desc
+        cols, oh, ow = _cols(x, d.kernel, d.stride)
+        b, k, p = cols.shape
+        flat = np.empty((b * p, k), dtype=np.float64)
+        np.copyto(flat.reshape(b, p, k), cols.transpose(0, 2, 1))
+        dist = cdist(flat, self.weight.reshape(d.out_channels, k), metric="cityblock")
+        out = dist.astype(x.dtype)
+        np.negative(out, out=out)
+        return out.reshape(b, p, d.out_channels).transpose(0, 2, 1).reshape(b, d.out_channels, oh, ow)
+
+    def _forward_adder_dw(self, x: np.ndarray) -> np.ndarray:
+        # The windows are copied once into a contiguous (B, C, k*k, P) array
+        # that then holds the tap differences in place, so the tap sum keeps
+        # numpy's order (pairwise when P = 1). Copying first and subtracting
+        # on contiguous memory is faster than subtracting from the 6-d view.
+        d = self.desc
+        win = _windows(x, d.kernel, d.stride)
+        b, c, oh, ow = win.shape[:4]
+        k = d.kernel
+        diff = np.empty((b, c, k * k, oh * ow), dtype=np.result_type(x, self.weight))
+        np.copyto(diff.reshape(b, c, k, k, oh, ow), win.transpose(0, 1, 4, 5, 2, 3))
+        diff -= self.weight.reshape(1, c, k * k, 1)
+        np.abs(diff, out=diff)
+        out = diff.sum(axis=2)
+        np.negative(out, out=out)
+        return out.reshape(b, c, oh, ow)
 
 
 @dataclass
@@ -141,28 +167,29 @@ class HybridNet:
     blocks: list[BlockInfo]
     input_resolution: int
     num_head_layers: int = NUM_HEAD_LAYERS
-    bn_sample_var: list[np.ndarray] = field(default_factory=list)
 
     @property
     def in_channels(self) -> int:
         return self.layers[0].desc.in_channels
 
-    def feature_forward(self, x: np.ndarray, record_stats: bool = False) -> np.ndarray:
-        """Run all layers before the classifier head (the zero-shot extractor)."""
-        return self._run(x, len(self.layers) - self.num_head_layers, record_stats)
+    def feature_forward(self, x: np.ndarray, bn_stats: list | None = None) -> np.ndarray:
+        """Run all layers before the classifier head (the zero-shot extractor).
 
-    def forward(self, x: np.ndarray, record_stats: bool = False) -> np.ndarray:
-        feats = self._run(x, len(self.layers) - self.num_head_layers, record_stats,
-                          final_is_raw=False)
+        With ``bn_stats`` given, every batch norm appends its per-sample
+        spatial variance per channel, pre-normalization, (B, C) float64.
+        """
+        return self._run(x, len(self.layers) - self.num_head_layers, bn_stats)
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        feats = self._run(x, len(self.layers) - self.num_head_layers, None, final_is_raw=False)
         # Head: MBPool conv at feature resolution, global pool, classifier.
         head = self.layers[-self.num_head_layers:]
-        y = head[0].forward(feats)
-        y = _batch_norm(y, None)
-        y = np.maximum(y, 0.0)
+        y = _batch_norm(head[0].forward(feats), None)
+        np.maximum(y, 0.0, out=y)
         y = y.mean(axis=(2, 3), keepdims=True)
         return head[1].forward(y)
 
-    def _run(self, x: np.ndarray, n_layers: int, record_stats: bool,
+    def _run(self, x: np.ndarray, n_layers: int, bn_stats: list | None,
              final_is_raw: bool = True) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.in_channels \
                 or x.shape[2] != self.input_resolution or x.shape[3] != self.input_resolution:
@@ -170,8 +197,6 @@ class HybridNet:
                 f"expected (B, {self.in_channels}, {self.input_resolution}, "
                 f"{self.input_resolution}), got {x.shape}"
             )
-        if record_stats:
-            self.bn_sample_var = []
         if x.dtype not in (np.float32, np.float64):
             x = x.astype(np.float32)
         block_starts = {b.first_layer: b for b in self.blocks}
@@ -185,10 +210,12 @@ class HybridNet:
             x = self.layers[idx].forward(x)
             is_last = idx == n_layers - 1
             if not (is_last and final_is_raw):
-                stats = self.bn_sample_var if record_stats else None
-                x = _batch_norm(x, stats)
-                x = np.maximum(x, 0.0)
+                # _batch_norm returns a fresh array, so ReLU may run in place.
+                x = _batch_norm(x, bn_stats)
+                np.maximum(x, 0.0, out=x)
             if residual_stack is not None and idx == residual_stack.first_layer + residual_stack.num_layers - 1:
+                # Not in place: with operands of two layouts the sum comes out
+                # C-ordered, and the next layer's bits depend on the layout.
                 x = x + saved
                 residual_stack = None
                 saved = None
@@ -198,12 +225,16 @@ class HybridNet:
 
 
 def _batch_norm(x: np.ndarray, sample_var_sink: list | None) -> np.ndarray:
-    mean = x.mean(axis=(0, 2, 3), keepdims=True)
-    var = x.var(axis=(0, 2, 3), keepdims=True)
+    """Batch statistics, no affine. The centred copy is made once, serves
+    the variance and is normalized in place (the same operations, in the
+    same order, as ``x.var``)."""
+    d = x - x.mean(axis=(0, 2, 3), keepdims=True)
+    var = np.square(d).mean(axis=(0, 2, 3), keepdims=True)
     if sample_var_sink is not None:
         # Per-sample spatial variance per channel, pre-normalization: (B, C).
         sample_var_sink.append(x.var(axis=(2, 3)).astype(np.float64))
-    return (x - mean) / np.sqrt(var + BN_EPS)
+    d /= np.sqrt(var + BN_EPS)
+    return d
 
 
 def instantiate(
@@ -221,10 +252,11 @@ def instantiate(
     for d in layers_desc:
         fan_in = (d.in_channels // d.groups) * d.kernel ** 2
         shape = (d.out_channels, d.in_channels // d.groups, d.kernel, d.kernel)
-        w = rng.standard_normal(shape, dtype=np.float32) * np.float32(np.sqrt(2.0 / fan_in))
+        w = rng.standard_normal(shape, dtype=np.float32)
+        w *= np.float32(np.sqrt(2.0 / fan_in))
         if d.op_type is LayerType.SHIFT:
             s, p = quantize_shift(w, p_min, p_max)
             layers.append(HybridLayer(d, shift_weight_value(s, p), s, p))
         else:
-            layers.append(HybridLayer(d, w.astype(np.float32)))
+            layers.append(HybridLayer(d, w))
     return HybridNet(layers=layers, blocks=blocks, input_resolution=space.input_resolution)

@@ -66,9 +66,22 @@ def _check_shape(doc, shape, where: str) -> None:
 
 
 def check_tables(tables, where: str) -> None:
-    """Raise ParseError unless ``tables`` is reference data whose hardware
-    and band rows name existing op rows."""
+    """Raise ParseError unless ``tables`` is reference data whose kLUT band
+    is a pair, whose hardware rows carry positive finite latency, GOPS and
+    FPS, and whose hardware and band rows name existing op rows."""
     _check_shape(tables, _TABLES_SHAPE, where)
+    band = tables["resource_check"]["klut_band"]
+    if len(band) != 2:
+        raise ParseError(f"{where}.resource_check.klut_band: expected [lo, hi], got {band!r}")
+    for i, row in enumerate(tables["hw_rows"]):
+        try:
+            lat = float(row["latency_ms"])
+        except ValueError:
+            lat = math.nan
+        for key, value in (("latency_ms", lat), ("gops", row["gops"]), ("fps", row["fps"])):
+            if not (math.isfinite(value) and value > 0):
+                raise ParseError(f"{where}.hw_rows[{i}].{key}: expected a positive finite "
+                                 f"number, got {row[key]!r}")
     refs = [(r["dataset"], r.get("ops_ref", r["method"])) for r in tables["hw_rows"]]
     refs += [(e["dataset"], e["method"]) for e in tables["resource_check"]["eq9_band_rows"]]
     try:

@@ -81,16 +81,11 @@ def zen_score(
         raise ValueError("alpha must be positive")
     if batch < 2:
         raise ValueError("batch must be >= 2")
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
     if rng is None:
         rng = np.random.default_rng(0)
-    res = net.input_resolution
-    draws = [
-        (
-            rng.standard_normal((batch, net.in_channels, res, res), dtype=np.float32),
-            rng.standard_normal((batch, net.in_channels, res, res), dtype=np.float32),
-        )
-        for _ in range(repeats)
-    ]
+    draws = _draws(net, batch, repeats, rng)
     score = _zen_from_draws(net, draws, alpha)
     if score is None:
         # Deep stacks of contractive layers can shrink the perturbation
@@ -102,16 +97,23 @@ def zen_score(
     return score
 
 
+def _draws(net: HybridNet, batch: int, repeats: int,
+           rng: np.random.Generator) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``repeats`` float32 (input, perturbation) pairs of Gaussian draws."""
+    shape = (batch, net.in_channels, net.input_resolution, net.input_resolution)
+    return [(rng.standard_normal(shape, dtype=np.float32),
+             rng.standard_normal(shape, dtype=np.float32)) for _ in range(repeats)]
+
+
 def _zen_from_draws(net: HybridNet, draws, alpha: float) -> float | None:
     """Score for fixed input draws; None when the delta underflows to zero."""
     deltas = []
-    bn_term = None
+    bn_stats: list[np.ndarray] = []
     for r, (x, eps) in enumerate(draws):
-        y0 = net.feature_forward(x, record_stats=(r == 0))
-        if r == 0:
-            bn_term = _bn_log_term(net.bn_sample_var)
+        y0 = net.feature_forward(x, bn_stats if r == 0 else None)
         y1 = net.feature_forward(x + alpha * eps)
         deltas.append(float(np.linalg.norm((y0 - y1).ravel())))
+    bn_term = _bn_log_term(bn_stats)
     mean_delta = float(np.mean(deltas))
     if not math.isfinite(mean_delta) or not math.isfinite(bn_term):
         raise NonFiniteScore(f"non-finite score terms ({mean_delta}, {bn_term})")

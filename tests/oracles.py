@@ -8,6 +8,7 @@ dataflow sweep.
 import math
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from chunknas.accel import (
     ChunkConfig,
@@ -17,6 +18,7 @@ from chunknas.accel import (
     LoopOrder,
     layer_latency,
 )
+from chunknas.search_space import LayerType
 
 BN_EPS = 1e-5
 
@@ -89,6 +91,65 @@ def ref_zen_score(weights, strides, x, eps, alpha):
         for k in range(per_sample.shape[0]):
             score += math.log(math.sqrt(float(per_sample[k].mean()) + BN_EPS))
     return score
+
+
+def ref_patches(x, kernel, stride):
+    """Materialized sliding windows, (B, C, k*k, OH*OW) C-contiguous, of the
+    same-padded input (np.pad)."""
+    _, _, h, w = x.shape
+    oh, ow = -(-h // stride), -(-w // stride)
+    ph = max((oh - 1) * stride + kernel - h, 0)
+    pw = max((ow - 1) * stride + kernel - w, 0)
+    if ph or pw:
+        x = np.pad(x, ((0, 0), (0, 0), (ph // 2, ph - ph // 2), (pw // 2, pw - pw // 2)))
+    win = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]
+    b, c, oh, ow, _, _ = win.shape
+    return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c, kernel * kernel, oh * ow), oh, ow
+
+
+def ref_layer_forward(layer, x):
+    """A hybrid layer's output computed the straightforward way, with the
+    value bits and memory layout the package's forward must reproduce:
+    patches materialized for every layer, depthwise conv/shift as one
+    per-channel matmul over a transposed copy of the patches (a
+    (C, B, OH*OW)-major result), depthwise adder as ``cols - w``, and the
+    dense adder staged as a contiguous copy of the rows in the input dtype
+    that cdist up-converts to float64 (a (B, OH*OW, O)-major result)."""
+    d = layer.desc
+    cols, oh, ow = ref_patches(x, d.kernel, d.stride)
+    b = x.shape[0]
+    dense = d.groups == 1
+    if d.op_type is LayerType.ADDER:
+        if dense:
+            k = d.in_channels * d.kernel ** 2
+            flat = np.ascontiguousarray(
+                cols.reshape(b, k, oh * ow).transpose(0, 2, 1)).reshape(b * oh * ow, k)
+            dist = cdist(flat, layer.weight.reshape(d.out_channels, k), metric="cityblock")
+            out = -dist.reshape(b, oh * ow, d.out_channels).transpose(0, 2, 1)
+            return out.astype(x.dtype).reshape(b, d.out_channels, oh, ow)
+        diff = cols - layer.weight.reshape(d.out_channels, d.kernel ** 2)[None, :, :, None]
+        np.abs(diff, out=diff)
+        return (-diff.sum(axis=2)).reshape(b, d.out_channels, oh, ow)
+    if dense:
+        wmat = layer.weight.reshape(d.out_channels, -1)
+        out = wmat @ cols.reshape(b, d.in_channels * d.kernel ** 2, oh * ow)
+        return out.reshape(b, d.out_channels, oh, ow)
+    c, kk = d.out_channels, d.kernel ** 2
+    w = layer.weight.reshape(c, kk)
+    taps = cols.transpose(1, 2, 0, 3).reshape(c, kk, b * oh * ow)
+    out = np.matmul(w[:, None, :], taps).reshape(c, b, oh * ow).transpose(1, 0, 2)
+    return out.reshape(b, c, oh, ow)
+
+
+def ref_batch_norm(x, sample_var_sink):
+    """Batch statistics, no affine, from separate mean and variance
+    reductions."""
+    mean = x.mean(axis=(0, 2, 3), keepdims=True)
+    var = x.var(axis=(0, 2, 3), keepdims=True)
+    if sample_var_sink is not None:
+        sample_var_sink.append(x.var(axis=(2, 3)).astype(np.float64))
+    return (x - mean) / np.sqrt(var + BN_EPS)
 
 
 def _ladder(limit):

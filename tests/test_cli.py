@@ -208,6 +208,14 @@ SUITE_HEAD = '{"budget": {}, "grid": {"conv": [8], "shift": [1], "adder": [1]}, 
                  json.dumps({**reference_tables(), "hw_rows": [
                      {**reference_tables()["hw_rows"][0], "method": "unknown"}]}),
                  id="dangling-op-row"),
+    pytest.param(["reproduce-tables", "--data", "{f}"],
+                 json.dumps({**reference_tables(), "resource_check": {
+                     **reference_tables()["resource_check"], "klut_band": [1.0]}}),
+                 id="one-number-klut-band"),
+    pytest.param(["reproduce-tables", "--data", "{f}"],
+                 json.dumps({**reference_tables(), "hw_rows": [
+                     {**reference_tables()["hw_rows"][0], "latency_ms": "abc"}]}),
+                 id="unparsable-latency"),
 ])
 def test_bad_input_file_exits_2(tmp_path, capsys, argv, content):
     # Malformed JSON, valid JSON of the wrong shape (content given) or a
@@ -247,6 +255,18 @@ class TestConfigResolution:
         assert again.budget == cfg.budget
         assert again.space == cfg.space
         assert again.params == cfg.params
+
+    @pytest.mark.parametrize("name,raw", [
+        ("ZEN_BATCH", "1"), ("ZEN_BATCH", "2.5"), ("ZEN_ALPHA", "0"), ("ZEN_ALPHA", '"x"'),
+        ("ZEN_ALPHA", "NaN"), ("ZEN_REPEATS", "0"),
+    ])
+    def test_bad_zen_params_exit_2(self, monkeypatch, capsys, tmp_path, name, raw):
+        monkeypatch.setenv(f"CHUNKNAS_PARAMS_{name}", raw)
+        with pytest.raises(ParseError, match=name.lower()):
+            load_run_config()
+        rc = main(["--output", str(tmp_path / "out"), "--seed", "0", "score", "--random", "2"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_genome_file_comments_and_blanks(self, tmp_path):
         f = tmp_path / "g.txt"

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from chunknas import nn, zeroshot
 from chunknas.nn import (
     HybridLayer,
     ShapeMismatch,
@@ -12,7 +13,7 @@ from chunknas.nn import (
 )
 from chunknas.search_space import LayerDescriptor, LayerType, default_space, sample_random
 
-from oracles import ref_adder_same, ref_conv_same
+from oracles import ref_adder_same, ref_batch_norm, ref_conv_same, ref_layer_forward
 
 
 class TestQuantizeShift:
@@ -199,13 +200,17 @@ class TestInstantiate:
         net = sample_random(space, random.Random(12))
         h = instantiate(net, space, seed=1)
         x = np.random.default_rng(2).standard_normal((4, 3, 32, 32), dtype=np.float32)
-        out = h.feature_forward(x, record_stats=True)
+        stats = []
+        out = h.feature_forward(x, stats)
         assert out.shape[0] == 4
         n_feature_layers = len(h.layers) - h.num_head_layers
-        assert len(h.bn_sample_var) == n_feature_layers - 1  # no BN on the last one
-        for var in h.bn_sample_var:
+        assert len(stats) == n_feature_layers - 1  # no BN on the last one
+        for var in stats:
             assert var.shape[0] == 4
             assert np.all(var >= 0)
+        # The statistics live in the caller's list, not on the net.
+        assert np.array_equal(h.feature_forward(x), out)
+        assert len(stats) == n_feature_layers - 1
 
     def test_full_forward_classifier_shape(self):
         space = default_space()
@@ -221,3 +226,70 @@ class TestInstantiate:
         h = instantiate(net, space, seed=1)
         with pytest.raises(ShapeMismatch):
             h.feature_forward(np.zeros((2, 3, 16, 16), dtype=np.float32))
+
+
+def _layout(a):
+    """Strides of the axes that have more than one element: the memory
+    layout, which decides the kernels (and so the bits) of the next layer."""
+    return tuple(st for n, st in zip(a.shape, a.strides) if n > 1)
+
+
+class TestForwardParity:
+    """The copy-lean forward against the straightforward formulas in
+    ``oracles``: equal bits and equal memory layout for every layer and
+    batch-norm output, hence equal Zen scores."""
+
+    GENOMES = 6
+
+    @pytest.fixture(scope="class")
+    def nets(self):
+        space = default_space()
+        rng = random.Random(888)
+        return [instantiate(sample_random(space, rng), space, seed=i) for i in range(self.GENOMES)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_layer_and_bn_output_bit_identical(self, nets, dtype):
+        # Walk each net as HybridNet._run does; every layer gets the real
+        # output (and layout) of the previous one.
+        kinds = set()
+        for i, h in enumerate(nets):
+            x = np.random.default_rng(i).standard_normal((16, 3, 32, 32)).astype(dtype)
+            n = len(h.layers) - h.num_head_layers
+            starts = {b.first_layer: b for b in h.blocks}
+            saved = end = None
+            stats, ref_stats = [], []
+            for idx in range(n):
+                blk = starts.get(idx)
+                if blk is not None and blk.residual_channels:
+                    saved, end = x, blk.first_layer + blk.num_layers - 1
+                layer = h.layers[idx]
+                d = layer.desc
+                kinds.add((d.op_type, d.groups == 1, d.kernel))
+                y = layer.forward(x)
+                ref = ref_layer_forward(layer, x)
+                assert y.dtype == ref.dtype and np.array_equal(y, ref), (i, idx, d)
+                assert _layout(y) == _layout(ref), (i, idx, d)
+                x = y
+                if idx < n - 1:
+                    x = nn._batch_norm(y, stats)
+                    ref = ref_batch_norm(y, ref_stats)
+                    assert np.array_equal(x, ref) and _layout(x) == _layout(ref), (i, idx)
+                    np.maximum(x, 0.0, out=x)
+                if idx == end:
+                    x = x + saved
+                    saved = end = None
+            assert all(np.array_equal(a, b) for a, b in zip(stats, ref_stats))
+        # Every layer kind of the space ran: conv, shift and adder, each
+        # pointwise and depthwise.
+        assert {t for t, dense, k in kinds if not dense} == set(LayerType)
+        assert {t for t, dense, k in kinds if dense and k == 1} == set(LayerType)
+
+    def test_zen_score_and_logits_bit_identical(self, nets, monkeypatch):
+        x = np.random.default_rng(7).standard_normal((2, 3, 32, 32), dtype=np.float32)
+        got = [(zeroshot.zen_score(h, rng=np.random.default_rng(i)), h.forward(x))
+               for i, h in enumerate(nets)]
+        monkeypatch.setattr(HybridLayer, "forward", ref_layer_forward)
+        monkeypatch.setattr(nn, "_batch_norm", ref_batch_norm)
+        for i, (h, (score, logits)) in enumerate(zip(nets, got)):
+            assert zeroshot.zen_score(h, rng=np.random.default_rng(i)) == score
+            assert np.array_equal(h.forward(x), logits)
