@@ -42,6 +42,14 @@ class SingularSystem(ValueError):
     pass
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 class LoopOrder(IntEnum):
     """Canonical ordering doubles as the tie-break preference."""
 
@@ -169,10 +177,23 @@ class HardwareBudget:
     lut_overhead: int = 11_000      # control/interconnect calibration constant
 
     def __post_init__(self):
-        if min(self.dsp_total, self.lut_total, self.bram_bits_total) <= 0:
-            raise ValueError("resource counts must be positive")
-        if self.dram_bandwidth <= 0 or self.frequency_hz <= 0:
-            raise ValueError("bandwidth and frequency must be positive")
+        # Byte widths, resources and cycle counts derive from these, so a
+        # fractional, non-positive or non-numeric value would corrupt every
+        # design instead of failing. An out-of-range dsp_reserve_frac
+        # already surfaces as InfeasibleBudget; it only has to be a number.
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.name in ("dram_bandwidth", "frequency_hz"):
+                if not (_is_number(v) and math.isfinite(v) and v > 0):
+                    raise ValueError(f"{f.name} must be a finite number > 0, got {v!r}")
+            elif f.name == "dsp_reserve_frac":
+                if not (_is_number(v) and math.isfinite(v)):
+                    raise ValueError(f"{f.name} must be a finite number, got {v!r}")
+            elif f.name == "lut_overhead":
+                if not (_is_int(v) and v >= 0):
+                    raise ValueError(f"{f.name} must be an integer >= 0, got {v!r}")
+            elif not (_is_int(v) and v > 0):
+                raise ValueError(f"{f.name} must be an integer > 0, got {v!r}")
 
     @property
     def gb_bytes_max(self) -> int:

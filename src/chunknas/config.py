@@ -8,10 +8,11 @@ Units are spelled out in field names (``gb_bytes``, ``frequency_hz``).
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
-from .accel import EnergyCoeffs, HardwareBudget, fit_energy_coeffs
+from .accel import EnergyCoeffs, HardwareBudget, _is_number, fit_energy_coeffs
 from .cosearch import Constraint, SearchParams
 from .refdata import default_energy_coeffs
 from .search_space import OpCounts, SearchSpace, default_space
@@ -73,8 +74,13 @@ def _energy_from_dict(d: dict) -> EnergyCoeffs:
     if "coeffs" in d:
         return EnergyCoeffs.from_dict(d["coeffs"])
     if "fit_rows" in d:
-        rows = [(OpCounts(r[0], r[1], r[2]), r[3]) for r in d["fit_rows"]]
-        return fit_energy_coeffs(rows)
+        raw = d["fit_rows"]
+        if not (isinstance(raw, list) and all(
+                isinstance(r, list) and len(r) == 4
+                and all(_is_number(v) and math.isfinite(v) for v in r) for r in raw)):
+            raise ParseError("fit_rows must be a list of [mults_m, shifts_m, adds_m, mj] "
+                             "rows of finite numbers", field_name="fit_rows")
+        return fit_energy_coeffs([(OpCounts(*r[:3]), r[3]) for r in raw])
     raise ParseError("energy section needs 'coeffs' or 'fit_rows'", field_name="energy")
 
 

@@ -35,6 +35,8 @@ from .accel import (
     LUT_PER_PE,
     PerfReport,
     TileExceedsBuffer,
+    _is_int,
+    _is_number,
     chunk_lut,
     evaluate_dataflows,
     layer_latency,
@@ -390,14 +392,6 @@ def exhaustive_oracle(
 # ---------------------------------------------------------------------------
 # Evolutionary co-search
 # ---------------------------------------------------------------------------
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)

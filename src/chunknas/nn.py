@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .search_space import (
     BlockInfo,
@@ -131,8 +130,12 @@ class HybridLayer:
         return out.reshape(c, b, oh * ow).transpose(1, 0, 2).reshape(b, c, oh, ow)
 
     def _forward_adder_dense(self, x: np.ndarray) -> np.ndarray:
-        # cdist computes on float64 rows; stage them once, straight from the
-        # input (or window) layout. The result stays (B, OH*OW, O)-major.
+        # Imported on first use, so runs of the accelerator cost model alone
+        # never load scipy; later calls find it in sys.modules. cdist
+        # computes on float64 rows; stage them once, straight from the input
+        # (or window) layout. The result stays (B, OH*OW, O)-major.
+        from scipy.spatial.distance import cdist
+
         d = self.desc
         cols, oh, ow = _cols(x, d.kernel, d.stride)
         b, k, p = cols.shape

@@ -10,19 +10,20 @@ from .accel import EnergyCoeffs, fit_energy_coeffs
 from .search_space import OpCounts
 
 
-def _load_json(name: str) -> dict:
-    path = resources.files("chunknas").joinpath("data", name)
-    return json.loads(path.read_text())
-
-
 @lru_cache(maxsize=None)
+def _data_text(name: str) -> str:
+    return resources.files("chunknas").joinpath("data", name).read_text()
+
+
 def reference_tables() -> dict:
-    return _load_json("reference_results.json")
+    """The bundled reference rows, parsed afresh on each call so a caller
+    may edit its copy without changing what later callers read."""
+    return json.loads(_data_text("reference_results.json"))
 
 
-@lru_cache(maxsize=None)
 def bundled_workloads() -> dict:
-    return _load_json("workloads.json")
+    """The bundled oracle-comparison suite, a fresh copy on each call."""
+    return json.loads(_data_text("workloads.json"))
 
 
 def op_row(tables: dict, dataset: str, method: str) -> dict:

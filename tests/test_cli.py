@@ -1,5 +1,6 @@
 import json
 import random
+from importlib import resources
 
 import pytest
 
@@ -105,6 +106,12 @@ class TestSearchAccel:
         for name in ("perf.csv", "accel_config.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_no_dsp_share_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CHUNKNAS_BUDGET_DSP_RESERVE_FRAC", "0")
+        rc = main(["--output", str(tmp_path / "o"), "search-accel", "--genome", flat_genome_str(6)])
+        assert rc == 5
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_tiny_lut_budget_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"budget": {"lut_total": 560, "lut_overhead": 500}}))
@@ -154,7 +161,7 @@ class TestReproduceTables:
         assert "FAIL" not in out
 
     def test_corrupted_cell_isolated(self, tmp_path, capsys):
-        tables = json.loads(json.dumps(reference_tables()))  # deep copy
+        tables = reference_tables()
         for row in tables["op_energy_rows"]:
             if row["dataset"] == "cifar10" and row["method"] == "CoSearch-C":
                 row["energy_mj"] = 0.9
@@ -168,6 +175,14 @@ class TestReproduceTables:
         assert any(c["name"] == "cifar10/CoSearch-C" for c in failing)
         ok_ops = [c for c in doc["checks"] if c["suite"] == "op-count"]
         assert all(c["passed"] for c in ok_ops)
+
+    def test_edited_copy_leaves_bundled_data_intact(self):
+        data = resources.files("chunknas").joinpath("data")
+        reference_tables()["hw_rows"][0]["fps"] = 0
+        bundled_workloads()["budget"]["dsp_total"] = 0
+        assert reference_tables() == json.loads(data.joinpath("reference_results.json").read_text())
+        assert bundled_workloads() == json.loads(data.joinpath("workloads.json").read_text())
+        assert main(["reproduce-tables"]) == 0
 
 
 class TestOracleCompareCmd:
@@ -265,6 +280,26 @@ class TestConfigResolution:
         with pytest.raises(ParseError, match=name.lower()):
             load_run_config()
         rc = main(["--output", str(tmp_path / "out"), "--seed", "0", "score", "--random", "2"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("section,key,raw", [
+        ("energy", "fit_rows", '"x"'), ("energy", "fit_rows", "[[1,2]]"),
+        ("energy", "fit_rows", '["abc"]'), ("energy", "fit_rows", "[[1,2,3,NaN]]"),
+        ("budget", "act_bits", '"x"'), ("budget", "act_bits", "null"),
+        ("budget", "act_bits", "0"), ("budget", "act_bits", "-8"),
+        ("budget", "act_bits", "1.5"), ("budget", "act_bits", "true"),
+        ("budget", "lut_overhead", "-5"), ("budget", "dram_bandwidth_bytes_per_cycle", "1e309"),
+        ("budget", "dsp_reserve_frac", "NaN"),
+    ])
+    def test_bad_budget_or_energy_exit_2(self, monkeypatch, capsys, tmp_path,
+                                         section, key, raw):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(f'{{"{section}": {{"{key}": {raw}}}}}')
+        with pytest.raises(ParseError, match=key.removesuffix("_bytes_per_cycle")):
+            load_run_config(str(cfg), environ={})
+        monkeypatch.setenv(f"CHUNKNAS_{section}_{key}".upper(), raw)
+        rc = main(["--output", str(tmp_path / "o"), "search-accel", "--genome", flat_genome_str(0)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
 

@@ -1,0 +1,62 @@
+"""Property test of run-config resolution: random ``CHUNKNAS_<SECTION>_<KEY>``
+environment overrides either load or raise ``ParseError`` (CLI exit 2),
+never another exception; and a budget that loads drives the accelerator
+search to a design that fits it, or to ``InfeasibleBudget`` (CLI exit 5)."""
+
+import random
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from chunknas.accel import InfeasibleBudget
+from chunknas.config import ParseError, RunConfig, load_run_config
+from chunknas.cosearch import search_accelerator
+from chunknas.search_space import default_space, sample_random
+
+# Each section's keys (energy: the coeffs/fit_rows choice) plus an unknown
+# key, and an unknown section.
+KEYS = {section: sorted(doc) + ["nosuch"] for section, doc in RunConfig().to_dict().items()}
+KEYS["energy"].append("fit_rows")
+KEYS["nosuch"] = ["nosuch"]
+# JSON literals as they appear after the ``=`` of an environment variable.
+SCALARS = ["0", "1", "8", "-1", "-8", "1.5", "0.5", "1e309", "-1e309", "NaN",
+           '"x"', '""', "null", "true", "false", "4096", "117000"]
+VALUES = st.one_of(
+    st.sampled_from(SCALARS),
+    st.lists(st.sampled_from(SCALARS), max_size=4).map(lambda xs: f"[{','.join(xs)}]"),
+    st.lists(st.lists(st.sampled_from(SCALARS), max_size=4), min_size=1, max_size=4).map(
+        lambda rows: "[" + ",".join(f"[{','.join(r)}]" for r in rows) + "]"),
+    st.sampled_from(['{}', '{"a": 1}', '{"e_mult": 1}', '[{}]', "x y"]),
+)
+names = st.sampled_from(sorted(KEYS)).flatmap(
+    lambda section: st.sampled_from(KEYS[section]).map(
+        lambda key: f"CHUNKNAS_{section}_{key}".upper()))
+overrides = st.dictionaries(names, VALUES, min_size=1, max_size=3)
+NET = sample_random(default_space(), random.Random(0))
+
+
+@settings(max_examples=150)
+@given(overrides)
+def test_env_overrides_load_or_raise_parse_error(environ):
+    try:
+        load_run_config(environ=environ)
+    except ParseError:
+        pass
+
+
+@settings(max_examples=150)
+@given(overrides)
+def test_loaded_budget_fits_or_is_infeasible(environ):
+    try:
+        cfg = load_run_config(environ=environ)
+    except ParseError:
+        return
+    if cfg.space != default_space():
+        return
+    try:
+        config, _ = search_accelerator(NET, cfg.space, cfg.budget, cfg.coeffs)
+    except InfeasibleBudget:
+        return
+    config.assert_fits(cfg.budget)
