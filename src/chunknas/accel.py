@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .search_space import LayerDescriptor, LayerType, OpCounts, count_ops
+from .search_space import LayerDescriptor, LayerType, OpCounts, _is_int, _is_number, count_ops
 
 BRAM_BITS = 36864  # one 36 Kb block
 
@@ -40,14 +40,6 @@ class InfeasibleBudget(ValueError):
 
 class SingularSystem(ValueError):
     pass
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 class LoopOrder(IntEnum):
@@ -240,8 +232,11 @@ class EnergyCoeffs:
     e_add: float
 
     def __post_init__(self):
-        if min(self.e_mult, self.e_shift, self.e_add) <= 0:
-            raise ValueError("energy coefficients must be positive")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not (_is_number(v) and math.isfinite(v) and v > 0):
+                raise ValueError(f"energy coefficient {f.name} must be a finite number > 0, "
+                                 f"got {v!r}")
         if self.e_mult <= self.e_add:
             raise ValueError("a multiplication must cost more than an addition")
 

@@ -442,6 +442,15 @@ class Constraint:
     def __post_init__(self):
         if self.max_dsp is None and self.max_lut is None:
             raise ValueError("at least one resource bound (max_dsp or max_lut) is required")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if v is None:
+                continue
+            if f.name in ("max_dsp", "max_lut"):
+                if not (_is_int(v) and v > 0):
+                    raise ValueError(f"{f.name} must be an integer > 0 or null, got {v!r}")
+            elif not (_is_number(v) and math.isfinite(v) and v > 0):
+                raise ValueError(f"{f.name} must be a finite number > 0 or null, got {v!r}")
 
     def rejects(self, report: PerfReport) -> str | None:
         if self.max_dsp is not None and report.dsp > self.max_dsp:

@@ -1,13 +1,16 @@
 """Numpy forward engine for randomly initialized hybrid networks.
 
-Only inference at init time is needed (zero-shot scoring), so layers carry
-plain arrays: Gaussian weights for conv/adder, (sign, exponent) pairs for
-shift layers. Every layer output runs through per-batch batch norm (no
-affine) and ReLU except the last executed layer.
+Only inference at init time is needed (zero-shot scoring), so a net holds
+exactly what the score reads: the feature layers (no classifier head), each
+with one float32 weight array, Gaussian for conv/adder and snapped to signed
+powers of two for shift. Every layer output runs through per-batch batch
+norm (no affine) and ReLU except the last one.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,25 +38,34 @@ class NonFiniteScore(ArithmeticError):
     """NaN/Inf appeared in activations; callers treat the candidate as worst."""
 
 
-def quantize_shift(w, p_min: int = SHIFT_P_MIN, p_max: int = SHIFT_P_MAX):
-    """Power-of-two quantization: s = sign(w), p = round(log2|w|) clamped.
+# Mantissa field of the smallest float32 >= sqrt(2): from there on log2 of
+# the significand 1.m rounds up, so |w| rounds to the next power of two.
+_SQRT2_UP = np.float32(math.sqrt(2))
+if float(_SQRT2_UP) < math.sqrt(2):
+    _SQRT2_UP = np.nextafter(_SQRT2_UP, np.float32(2))
+_ROUND_UP_MANTISSA = int(_SQRT2_UP.view(np.uint32)) & 0x7FFFFF
 
-    Zeros map to (+1, p_min), the most attenuating representable value.
-    Accepts scalars or arrays; returns (sign, exponent) of matching shape.
+
+def quantize_shift(w, p_min: int = SHIFT_P_MIN, p_max: int = SHIFT_P_MAX) -> np.ndarray:
+    """Power-of-two quantization as float32 values sign(w) * 2**p, with
+    p = round(log2|w|) clamped to [p_min, p_max]. Zeros (either sign) map to
+    +2**p_min, the most attenuating representable value.
+
+    Integer arithmetic on the float32 bit pattern, exact for every input:
+    p is the exponent field minus 127, plus one when the mantissa field
+    reaches that of sqrt(2). Subnormals fall below p_min and clamp to it.
+    Needs -126 <= p_min <= p_max <= 127.
     """
-    w = np.asarray(w, dtype=np.float64)
-    s = np.where(w < 0, -1, 1).astype(np.int8)
-    mag = np.abs(w)
-    with np.errstate(divide="ignore"):
-        p = np.rint(np.log2(mag, where=mag > 0, out=np.full(mag.shape, float(p_min))))
-    p = np.clip(p, p_min, p_max).astype(np.int32)
-    if w.ndim == 0:
-        return int(s), int(p)
-    return s, p
-
-
-def shift_weight_value(s, p) -> np.ndarray:
-    return np.asarray(s, dtype=np.float32) * np.exp2(np.asarray(p, dtype=np.float32))
+    w = np.asarray(w, dtype=np.float32)
+    flat = w.reshape(-1)
+    bits = flat.view(np.uint32) & 0x7FFFFFFF
+    # Carries into the exponent field exactly when the mantissa rounds up.
+    bits += 0x800000 - _ROUND_UP_MANTISSA
+    bits >>= 23
+    np.clip(bits, p_min + 127, p_max + 127, out=bits)
+    bits <<= 23
+    bits |= np.left_shift(flat < 0, 31, dtype=np.uint32)
+    return bits.view(np.float32).reshape(w.shape)
 
 
 def _pad_same(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
@@ -88,12 +100,23 @@ def _cols(x: np.ndarray, kernel: int, stride: int):
     return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kernel * kernel, oh * ow), oh, ow
 
 
+@functools.lru_cache(maxsize=64)
+def _tap_index(b: int, hp: int, wp: int, oh: int, ow: int, kernel: int, stride: int) -> np.ndarray:
+    """Read-only (k*k, B*OH*OW) flat positions into B stacked (Hp, Wp)
+    planes: tap (i, j) of output (b, y, x) reads row y*stride + i, column
+    x*stride + j of plane b."""
+    out = (np.arange(b)[:, None, None] * hp + stride * np.arange(oh)[:, None]) * wp \
+        + stride * np.arange(ow)
+    tap = np.arange(kernel)[:, None] * wp + np.arange(kernel)
+    idx = tap.reshape(-1, 1) + out.reshape(1, -1)
+    idx.flags.writeable = False
+    return idx
+
+
 @dataclass
 class HybridLayer:
     desc: LayerDescriptor
-    weight: np.ndarray              # float32; for shift layers equals sign * 2**exp
-    shift_sign: np.ndarray | None = None
-    shift_exp: np.ndarray | None = None
+    weight: np.ndarray              # float32; for shift layers a signed power of two
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         d = self.desc
@@ -119,14 +142,26 @@ class HybridLayer:
 
     def _forward_conv_dw(self, x: np.ndarray) -> np.ndarray:
         # One (k*k)-tap dot product per channel as a batched matmul over
-        # (C, k*k, B*OH*OW) taps. The result stays a (C, B, OH*OW)-major view,
-        # strides of size-1 axes included: the next layer's BLAS call sees them.
+        # (C, k*k, B*OH*OW) taps, gathered in one indexed take from the
+        # padded input laid out (C, B*Hp*Wp). The result stays a
+        # (C, B, OH*OW)-major view, strides of size-1 axes included: the next
+        # layer's BLAS call sees them.
         d = self.desc
-        win = _windows(x, d.kernel, d.stride)
-        b, c, oh, ow = win.shape[:4]
-        kk = d.kernel * d.kernel
-        taps = win.transpose(1, 4, 5, 0, 2, 3).reshape(c, kk, b * oh * ow)
-        out = np.matmul(self.weight.reshape(c, 1, kk), taps)
+        b, c = x.shape[:2]
+        k, oh, ow = d.kernel, d.out_h, d.out_w
+        if ow == 1 and (oh == 1 or b == 1):
+            # One window column (so Wp == k when k > stride) of one window
+            # or one plane, as at OH*OW = 1: the windows reshape to the taps
+            # as a strided view, and matmul's own loop over that view sets
+            # the bits. A contiguous copy would go to BLAS and round
+            # differently.
+            win = _windows(x, k, d.stride)
+            taps = win.transpose(1, 4, 5, 0, 2, 3).reshape(c, k * k, b * oh * ow)
+        else:
+            xt = _pad_same(x.transpose(1, 0, 2, 3), k, d.stride)
+            idx = _tap_index(b, xt.shape[2], xt.shape[3], oh, ow, k, d.stride)
+            taps = np.take(xt.reshape(c, -1), idx, axis=1, mode="clip")
+        out = np.matmul(self.weight.reshape(c, 1, k * k), taps)
         return out.reshape(c, b, oh * ow).transpose(1, 0, 2).reshape(b, c, oh, ow)
 
     def _forward_adder_dense(self, x: np.ndarray) -> np.ndarray:
@@ -147,16 +182,18 @@ class HybridLayer:
         return out.reshape(b, p, d.out_channels).transpose(0, 2, 1).reshape(b, d.out_channels, oh, ow)
 
     def _forward_adder_dw(self, x: np.ndarray) -> np.ndarray:
-        # The windows are copied once into a contiguous (B, C, k*k, P) array
-        # that then holds the tap differences in place, so the tap sum keeps
-        # numpy's order (pairwise when P = 1). Copying first and subtracting
-        # on contiguous memory is faster than subtracting from the 6-d view.
+        # One indexed take gathers the taps into a contiguous (B*C, k*k, P)
+        # array that then holds the tap differences in place, so the tap sum
+        # keeps numpy's order (pairwise when P = 1). The weight is float32,
+        # so the differences keep the input's dtype.
         d = self.desc
-        win = _windows(x, d.kernel, d.stride)
-        b, c, oh, ow = win.shape[:4]
-        k = d.kernel
-        diff = np.empty((b, c, k * k, oh * ow), dtype=np.result_type(x, self.weight))
-        np.copyto(diff.reshape(b, c, k, k, oh, ow), win.transpose(0, 1, 4, 5, 2, 3))
+        b, c = x.shape[:2]
+        k, oh, ow = d.kernel, d.out_h, d.out_w
+        xp = _pad_same(x, k, d.stride)
+        hp, wp = xp.shape[2:]
+        idx = _tap_index(1, hp, wp, oh, ow, k, d.stride)
+        diff = np.take(xp.reshape(b * c, hp * wp), idx, axis=1, mode="clip")
+        diff = diff.reshape(b, c, k * k, oh * ow)
         diff -= self.weight.reshape(1, c, k * k, 1)
         np.abs(diff, out=diff)
         out = diff.sum(axis=2)
@@ -166,34 +203,22 @@ class HybridLayer:
 
 @dataclass
 class HybridNet:
+    """The feature extractor of a genome: stem and IRB blocks, no head."""
+
     layers: list[HybridLayer]
     blocks: list[BlockInfo]
     input_resolution: int
-    num_head_layers: int = NUM_HEAD_LAYERS
 
     @property
     def in_channels(self) -> int:
         return self.layers[0].desc.in_channels
 
     def feature_forward(self, x: np.ndarray, bn_stats: list | None = None) -> np.ndarray:
-        """Run all layers before the classifier head (the zero-shot extractor).
+        """Run every layer (the zero-shot extractor); the last output is raw.
 
         With ``bn_stats`` given, every batch norm appends its per-sample
         spatial variance per channel, pre-normalization, (B, C) float64.
         """
-        return self._run(x, len(self.layers) - self.num_head_layers, bn_stats)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        feats = self._run(x, len(self.layers) - self.num_head_layers, None, final_is_raw=False)
-        # Head: MBPool conv at feature resolution, global pool, classifier.
-        head = self.layers[-self.num_head_layers:]
-        y = _batch_norm(head[0].forward(feats), None)
-        np.maximum(y, 0.0, out=y)
-        y = y.mean(axis=(2, 3), keepdims=True)
-        return head[1].forward(y)
-
-    def _run(self, x: np.ndarray, n_layers: int, bn_stats: list | None,
-             final_is_raw: bool = True) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.in_channels \
                 or x.shape[2] != self.input_resolution or x.shape[3] != self.input_resolution:
             raise ShapeMismatch(
@@ -205,14 +230,14 @@ class HybridNet:
         block_starts = {b.first_layer: b for b in self.blocks}
         residual_stack: BlockInfo | None = None
         saved = None
-        for idx in range(n_layers):
+        last = len(self.layers) - 1
+        for idx, layer in enumerate(self.layers):
             blk = block_starts.get(idx)
             if blk is not None and blk.residual_channels:
                 residual_stack = blk
                 saved = x
-            x = self.layers[idx].forward(x)
-            is_last = idx == n_layers - 1
-            if not (is_last and final_is_raw):
+            x = layer.forward(x)
+            if idx != last:
                 # _batch_norm returns a fresh array, so ReLU may run in place.
                 x = _batch_norm(x, bn_stats)
                 np.maximum(x, 0.0, out=x)
@@ -247,19 +272,19 @@ def instantiate(
     p_min: int = SHIFT_P_MIN,
     p_max: int = SHIFT_P_MAX,
 ) -> HybridNet:
-    """Expand a genome and draw He-style N(0, 2/fan_in) weights; shift-layer
-    weights are then snapped to signed powers of two."""
+    """Expand a genome and draw He-style N(0, 2/fan_in) weights for its
+    feature layers; shift-layer weights are then snapped to signed powers of
+    two. The classifier head, which the expansion lists last, is not drawn,
+    so the feature weights equal those of a draw that includes it."""
     layers_desc, blocks = expand_blocks(space, net)
     rng = np.random.default_rng(seed)
     layers = []
-    for d in layers_desc:
+    for d in layers_desc[:-NUM_HEAD_LAYERS]:
         fan_in = (d.in_channels // d.groups) * d.kernel ** 2
         shape = (d.out_channels, d.in_channels // d.groups, d.kernel, d.kernel)
         w = rng.standard_normal(shape, dtype=np.float32)
         w *= np.float32(np.sqrt(2.0 / fan_in))
         if d.op_type is LayerType.SHIFT:
-            s, p = quantize_shift(w, p_min, p_max)
-            layers.append(HybridLayer(d, shift_weight_value(s, p), s, p))
-        else:
-            layers.append(HybridLayer(d, w))
+            w = quantize_shift(w, p_min, p_max)
+        layers.append(HybridLayer(d, w))
     return HybridNet(layers=layers, blocks=blocks, input_resolution=space.input_resolution)

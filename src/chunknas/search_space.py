@@ -54,6 +54,14 @@ class MembershipViolation(ValueError):
         super().__init__(f"stage {stage}: {field}={value!r} not in choice set")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _choice_tuple(values: Sequence[int], what: str) -> tuple[int, ...]:
     out = tuple(sorted(set(int(v) for v in values)))
     if not out:
@@ -109,6 +117,10 @@ class SearchSpace:
         object.__setattr__(self, "mbpool_channels", _choice_tuple(self.mbpool_channels, "head channels"))
         if len(self.stages) != 7:
             raise ValueError(f"expected 7 stages, got {len(self.stages)}")
+        for name in ("input_resolution", "num_classes", "stem_kernel", "stem_stride"):
+            v = getattr(self, name)
+            if not (_is_int(v) and v > 0):
+                raise ValueError(f"{name} must be an integer > 0, got {v!r}")
 
     def to_dict(self) -> dict:
         return {

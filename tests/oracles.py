@@ -2,14 +2,18 @@
 
 Everything here is implemented with plain loops and explicit formulas,
 deliberately not reusing the package's forward engine or its vectorized
-dataflow sweep.
+dataflow sweep. The exceptions are the classifier head and the float64
+shift quantizer, which the package no longer carries: ``ref_logits`` runs
+the package's layers, and ``ref_instantiate`` draws the full classifier.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from chunknas import nn
 from chunknas.accel import (
     ChunkConfig,
     ChunkEval,
@@ -18,9 +22,12 @@ from chunknas.accel import (
     LoopOrder,
     layer_latency,
 )
-from chunknas.search_space import LayerType
+from chunknas.nn import HybridLayer
+from chunknas.search_space import NUM_HEAD_LAYERS, LayerType, expand_blocks
 
 BN_EPS = 1e-5
+SHIFT_P_MIN = -6
+SHIFT_P_MAX = 1
 
 
 def ref_conv_same(x, w, stride):
@@ -94,8 +101,9 @@ def ref_zen_score(weights, strides, x, eps, alpha):
 
 
 def ref_patches(x, kernel, stride):
-    """Materialized sliding windows, (B, C, k*k, OH*OW) C-contiguous, of the
-    same-padded input (np.pad)."""
+    """Sliding windows of the same-padded input (np.pad) as (B, C, k*k,
+    OH*OW): a C-contiguous copy, or a strided view where the windows
+    reshape without one (one window column, Wp == k)."""
     _, _, h, w = x.shape
     oh, ow = -(-h // stride), -(-w // stride)
     ph = max((oh - 1) * stride + kernel - h, 0)
@@ -111,11 +119,13 @@ def ref_patches(x, kernel, stride):
 def ref_layer_forward(layer, x):
     """A hybrid layer's output computed the straightforward way, with the
     value bits and memory layout the package's forward must reproduce:
-    patches materialized for every layer, depthwise conv/shift as one
-    per-channel matmul over a transposed copy of the patches (a
-    (C, B, OH*OW)-major result), depthwise adder as ``cols - w``, and the
-    dense adder staged as a contiguous copy of the rows in the input dtype
-    that cdist up-converts to float64 (a (B, OH*OW, O)-major result)."""
+    ``ref_patches`` for every layer, depthwise conv/shift as one
+    per-channel matmul over the transposed patches (a copy unless they
+    reshape as a view; a (C, B, OH*OW)-major result), depthwise adder as
+    ``cols - w`` into a C-ordered (B, C, k*k, OH*OW) array (the tap sum
+    follows that order), and the dense adder staged as a contiguous copy of
+    the rows in the input dtype that cdist up-converts to float64 (a
+    (B, OH*OW, O)-major result)."""
     d = layer.desc
     cols, oh, ow = ref_patches(x, d.kernel, d.stride)
     b = x.shape[0]
@@ -128,7 +138,8 @@ def ref_layer_forward(layer, x):
             dist = cdist(flat, layer.weight.reshape(d.out_channels, k), metric="cityblock")
             out = -dist.reshape(b, oh * ow, d.out_channels).transpose(0, 2, 1)
             return out.astype(x.dtype).reshape(b, d.out_channels, oh, ow)
-        diff = cols - layer.weight.reshape(d.out_channels, d.kernel ** 2)[None, :, :, None]
+        w = layer.weight.reshape(d.out_channels, d.kernel ** 2)[None, :, :, None]
+        diff = np.subtract(cols, w, order="C")
         np.abs(diff, out=diff)
         return (-diff.sum(axis=2)).reshape(b, d.out_channels, oh, ow)
     if dense:
@@ -140,6 +151,81 @@ def ref_layer_forward(layer, x):
     taps = cols.transpose(1, 2, 0, 3).reshape(c, kk, b * oh * ow)
     out = np.matmul(w[:, None, :], taps).reshape(c, b, oh * ow).transpose(1, 0, 2)
     return out.reshape(b, c, oh, ow)
+
+
+def ref_quantize_shift(w, p_min=SHIFT_P_MIN, p_max=SHIFT_P_MAX):
+    """Power-of-two quantization through float64 log2: s = sign(w),
+    p = round(log2|w|) clamped to [p_min, p_max]. Zeros map to (+1, p_min).
+    Scalars give a (sign, exponent) pair of ints, arrays a pair of arrays."""
+    scalar = np.ndim(w) == 0
+    w = np.array(w, dtype=np.float64, ndmin=1)
+    s = np.where(w < 0, np.int8(-1), np.int8(1))
+    p = np.abs(w)
+    with np.errstate(divide="ignore"):
+        np.log2(p, out=p)  # log2(0) = -inf clamps to p_min
+    np.rint(p, out=p)
+    p = np.clip(p, p_min, p_max, out=p).astype(np.int32)
+    if scalar:
+        return int(s[0]), int(p[0])
+    return s, p
+
+
+def ref_shift_weight_value(s, p):
+    """The float32 weight s * 2**p of a (sign, exponent) pair."""
+    return np.asarray(s, dtype=np.float32) * np.exp2(np.asarray(p, dtype=np.float32))
+
+
+@dataclass
+class RefDraw:
+    """Every layer of a genome drawn the way the full classifier was:
+    feature layers, then the head (MBPool 1x1 conv and classifier), with
+    the (sign, exponent) code of each shift layer by layer index."""
+
+    layers: list
+    head: list
+    shift_codes: dict
+
+
+def ref_instantiate(net, space, seed):
+    """He-style N(0, 2/fan_in) draws for every layer of the expansion, head
+    included, in expansion order from ``default_rng(seed)``; shift weights
+    through the float64 quantizer."""
+    descs, _ = expand_blocks(space, net)
+    rng = np.random.default_rng(seed)
+    layers, codes = [], {}
+    for i, d in enumerate(descs):
+        fan_in = (d.in_channels // d.groups) * d.kernel ** 2
+        shape = (d.out_channels, d.in_channels // d.groups, d.kernel, d.kernel)
+        w = rng.standard_normal(shape, dtype=np.float32)
+        w *= np.float32(np.sqrt(2.0 / fan_in))
+        if d.op_type is LayerType.SHIFT:
+            codes[i] = ref_quantize_shift(w)
+            w = ref_shift_weight_value(*codes[i])
+        layers.append(HybridLayer(d, w))
+    return RefDraw(layers[:-NUM_HEAD_LAYERS], layers[-NUM_HEAD_LAYERS:], codes)
+
+
+def ref_logits(net, head, x):
+    """The classifier forward: every feature layer normalized (residual
+    sums after the ReLU), then the MBPool conv, batch norm, ReLU, global
+    average pool and the classifier. It composes ``HybridLayer.forward`` and
+    ``nn._batch_norm`` as looked up at call time, so a test can swap in the
+    reference formulas."""
+    starts = {b.first_layer: b for b in net.blocks}
+    saved = end = None
+    for idx, layer in enumerate(net.layers):
+        blk = starts.get(idx)
+        if blk is not None and blk.residual_channels:
+            saved, end = x, blk.first_layer + blk.num_layers - 1
+        x = nn._batch_norm(layer.forward(x), None)
+        np.maximum(x, 0.0, out=x)
+        if idx == end:
+            x = x + saved
+            saved = end = None
+    y = nn._batch_norm(head[0].forward(x), None)
+    np.maximum(y, 0.0, out=y)
+    y = y.mean(axis=(2, 3), keepdims=True)
+    return head[1].forward(y)
 
 
 def ref_batch_norm(x, sample_var_sink):

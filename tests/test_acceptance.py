@@ -28,6 +28,8 @@ from chunknas.search_space import (
     sample_random,
 )
 
+from oracles import ref_quantize_shift, ref_shift_weight_value
+
 
 def report(criterion: int, elapsed: float, message: str) -> None:
     print(f"\ncriterion {criterion:02d}: PASS ({elapsed:.1f}s) {message}")
@@ -211,12 +213,13 @@ def test_criterion_09_layer_semantics():
         x = rng.standard_normal((2, ci, h, h), dtype=np.float32)
 
         # Shift forward must equal a conv with the quantized weights,
-        # to floating-point equality.
+        # to floating-point equality; the quantizer must give the float64
+        # reference's weights bit for bit.
         raw = rng.standard_normal((co, ci, k, k))
-        s, p = nn.quantize_shift(raw)
-        w_q = nn.shift_weight_value(s, p)
+        w_q = nn.quantize_shift(raw)
+        assert np.array_equal(w_q, ref_shift_weight_value(*ref_quantize_shift(raw.astype(np.float32))))
         shift_layer = nn.HybridLayer(
-            LayerDescriptor(LayerType.SHIFT, ci, co, k, stride, 1, h, h), w_q, s, p
+            LayerDescriptor(LayerType.SHIFT, ci, co, k, stride, 1, h, h), w_q
         )
         conv_layer = nn.HybridLayer(
             LayerDescriptor(LayerType.CONV, ci, co, k, stride, 1, h, h),
@@ -231,9 +234,9 @@ def test_criterion_09_layer_semantics():
         )
         assert np.all(adder_layer.forward(x) <= 0)
 
-    assert nn.quantize_shift(2.0) == (1, 1)
-    assert nn.quantize_shift(-0.75) == (-1, 0)
-    assert nn.quantize_shift(0.3) == (1, -2)
+    assert ref_quantize_shift(2.0) == (1, 1) and nn.quantize_shift(2.0) == 2.0
+    assert ref_quantize_shift(-0.75) == (-1, 0) and nn.quantize_shift(-0.75) == -1.0
+    assert ref_quantize_shift(0.3) == (1, -2) and nn.quantize_shift(0.3) == 0.25
     elapsed = time.time() - t0
     assert elapsed < 60
     report(9, elapsed, "shift == conv-with-quantized-weights on 50 random layers; "

@@ -303,6 +303,28 @@ class TestConfigResolution:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("name,raw,command", [
+        ("ENERGY_COEFFS", '{"e_mult": NaN, "e_shift": 1, "e_add": 1}', "search-accel"),
+        ("ENERGY_COEFFS", '{"e_mult": 5e-3, "e_shift": Infinity, "e_add": 1e-3}', "search-accel"),
+        ("CONSTRAINT_MAX_DSP", '"x"', "cosearch"), ("CONSTRAINT_MAX_DSP", "1.5", "cosearch"),
+        ("CONSTRAINT_MAX_LUT", "0", "cosearch"), ("CONSTRAINT_MAX_LATENCY_S", "NaN", "cosearch"),
+        ("CONSTRAINT_MIN_GOPS", "-1", "cosearch"), ("CONSTRAINT_MIN_GOPS", "true", "cosearch"),
+        ("SPACE_STEM_STRIDE", "0", "search-accel"), ("SPACE_INPUT_RESOLUTION", '"x"', "search-accel"),
+        ("SPACE_NUM_CLASSES", "2.5", "search-accel"), ("SPACE_STEM_KERNEL", "null", "search-accel"),
+    ])
+    def test_bad_energy_constraint_or_space_exit_2(self, monkeypatch, capsys, tmp_path,
+                                                   name, raw, command):
+        monkeypatch.setenv(f"CHUNKNAS_{name}", raw)
+        field = name.split("_", 1)[1].lower()
+        with pytest.raises(ParseError, match="energy coefficient" if field == "coeffs" else field):
+            load_run_config()
+        argv = ["search-accel", "--genome", flat_genome_str(0)] if command == "search-accel" \
+            else ["cosearch"]
+        rc = main(["--json", "--output", str(tmp_path / "o"), *argv])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+
     def test_genome_file_comments_and_blanks(self, tmp_path):
         f = tmp_path / "g.txt"
         f.write_text(f"# comment\n\n{flat_genome_str(7)}\n")

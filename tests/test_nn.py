@@ -1,56 +1,94 @@
 import random
+import time
 
 import numpy as np
 import pytest
 
 from chunknas import nn, zeroshot
-from chunknas.nn import (
-    HybridLayer,
-    ShapeMismatch,
-    instantiate,
-    quantize_shift,
-    shift_weight_value,
-)
+from chunknas.nn import HybridLayer, ShapeMismatch, instantiate, quantize_shift
 from chunknas.search_space import LayerDescriptor, LayerType, default_space, sample_random
 
-from oracles import ref_adder_same, ref_batch_norm, ref_conv_same, ref_layer_forward
+from oracles import (
+    ref_adder_same,
+    ref_batch_norm,
+    ref_conv_same,
+    ref_instantiate,
+    ref_layer_forward,
+    ref_logits,
+    ref_quantize_shift,
+    ref_shift_weight_value,
+)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float32).view(np.uint32)
 
 
 class TestQuantizeShift:
+    """Fixtures of the float64 reference quantizer in ``oracles``, each also
+    met by the package's bit-pattern quantizer."""
+
     def test_exact_power_of_two(self):
-        s, p = quantize_shift(2.0)
+        s, p = ref_quantize_shift(2.0)
         assert (s, p) == (1, 1)
-        assert shift_weight_value(s, p) == 2.0
+        assert ref_shift_weight_value(s, p) == 2.0
+        assert quantize_shift(2.0) == 2.0
 
     def test_negative_fixture(self):
-        s, p = quantize_shift(-0.75)
+        s, p = ref_quantize_shift(-0.75)
         assert (s, p) == (-1, 0)
-        assert shift_weight_value(s, p) == -1.0
+        assert ref_shift_weight_value(s, p) == -1.0
+        assert quantize_shift(-0.75) == -1.0
 
     def test_fraction_fixture(self):
-        s, p = quantize_shift(0.3)
+        s, p = ref_quantize_shift(0.3)
         assert (s, p) == (1, -2)
-        assert shift_weight_value(s, p) == 0.25
+        assert ref_shift_weight_value(s, p) == 0.25
+        assert quantize_shift(0.3) == 0.25
 
     def test_zero_maps_to_most_attenuating(self):
-        s, p = quantize_shift(0.0)
+        s, p = ref_quantize_shift(0.0)
         assert (s, p) == (1, -6)
+        assert ref_quantize_shift(-0.0) == (1, -6)
+        assert _bits(quantize_shift(0.0)) == _bits(quantize_shift(-0.0)) == _bits(2.0 ** -6)
 
     def test_clamping(self):
-        assert quantize_shift(1e9)[1] == 1
-        assert quantize_shift(1e-9)[1] == -6
+        assert ref_quantize_shift(1e9)[1] == 1
+        assert ref_quantize_shift(1e-9)[1] == -6
+        assert quantize_shift(1e9) == 2.0 and quantize_shift(-1e-9) == -(2.0 ** -6)
 
     def test_array_form(self):
-        s, p = quantize_shift(np.array([2.0, -0.75, 0.3, 0.0]))
+        w = np.array([2.0, -0.75, 0.3, 0.0])
+        s, p = ref_quantize_shift(w)
         assert s.tolist() == [1, -1, 1, 1]
         assert p.tolist() == [1, 0, -2, -6]
+        got = quantize_shift(w.reshape(2, 2))
+        assert got.dtype == np.float32 and got.shape == (2, 2)
+        assert got.ravel().tolist() == [2.0, -1.0, 0.25, 2.0 ** -6]
 
     def test_reconstruction_is_power_of_two(self):
         rng = np.random.default_rng(0)
         w = rng.normal(0, 1, size=1000)
-        s, p = quantize_shift(w)
-        vals = shift_weight_value(s, p)
+        s, p = ref_quantize_shift(w)
+        vals = ref_shift_weight_value(s, p)
         assert np.all(np.isin(np.abs(vals), np.exp2(np.arange(-6, 2, dtype=np.float32))))
+        assert np.array_equal(_bits(quantize_shift(w.astype(np.float32))), _bits(vals))
+
+    def test_every_float32_matches_float64_reference(self):
+        # Every mantissa at each exponent 2**-10 .. 2**3 and in the
+        # exponent-0 field (+-0 and every subnormal), both signs: 2**23 * 30
+        # values, in blocks small enough to stay in cache.
+        t0 = time.perf_counter()
+        block = np.arange(1 << 20, dtype=np.uint32)
+        mismatches = 0
+        for field in [0, *range(127 - 10, 127 + 4)]:
+            for sign in (0, 1):
+                for high in range(0, 1 << 23, block.size):
+                    x = (block | np.uint32(sign << 31 | field << 23 | high)).view(np.float32)
+                    want = ref_shift_weight_value(*ref_quantize_shift(x))
+                    mismatches += int(np.count_nonzero(_bits(quantize_shift(x)) != _bits(want)))
+        assert mismatches == 0
+        assert time.perf_counter() - t0 < 10
 
 
 class TestLayerSemantics:
@@ -65,7 +103,7 @@ class TestLayerSemantics:
         desc = LayerDescriptor(LayerType.SHIFT, 4, 3, 3, 1, 1, 6, 6)
         sign = np.ones((3, 4, 3, 3), dtype=np.int8)
         exp = np.zeros((3, 4, 3, 3), dtype=np.int32)
-        shift = HybridLayer(desc, shift_weight_value(sign, exp), sign, exp)
+        shift = HybridLayer(desc, ref_shift_weight_value(sign, exp))
         conv = HybridLayer(
             LayerDescriptor(LayerType.CONV, 4, 3, 3, 1, 1, 6, 6),
             np.ones((3, 4, 3, 3), dtype=np.float32),
@@ -168,15 +206,29 @@ class TestInstantiate:
         while net is None or not any(g.t is LayerType.SHIFT for g in net.stages):
             net = sample_random(space, rng)
         h = instantiate(net, space, seed=0)
+        ref = ref_instantiate(net, space, seed=0)
         seen_shift = False
-        for layer in h.layers:
+        for i, layer in enumerate(h.layers):
             if layer.desc.op_type is LayerType.SHIFT:
                 seen_shift = True
-                assert layer.shift_sign is not None
-                recon = shift_weight_value(layer.shift_sign, layer.shift_exp)
+                sign, exp = ref.shift_codes[i]
+                recon = ref_shift_weight_value(sign, exp)
                 assert np.array_equal(layer.weight, recon)
-                assert np.all(np.isin(layer.shift_exp, np.arange(-6, 2)))
+                assert np.all(np.isin(exp, np.arange(-6, 2)))
         assert seen_shift
+
+    def test_feature_weights_equal_the_full_classifier_draw(self):
+        # The head is drawn last, so leaving it out changes no feature
+        # weight, and the bit-pattern quantizer gives the float64 one's bits.
+        space = default_space()
+        for seed in range(3):
+            net = sample_random(space, random.Random(40 + seed))
+            h = instantiate(net, space, seed=seed)
+            ref = ref_instantiate(net, space, seed=seed)
+            assert [layer.desc for layer in h.layers] == [layer.desc for layer in ref.layers]
+            for got, want in zip(h.layers, ref.layers):
+                assert got.weight.dtype == np.float32
+                assert np.array_equal(_bits(got.weight), _bits(want.weight))
 
     def test_fan_in_variance(self):
         # 3x3 depthwise: fan_in 9, so weight variance should sit near 2/9.
@@ -203,7 +255,7 @@ class TestInstantiate:
         stats = []
         out = h.feature_forward(x, stats)
         assert out.shape[0] == 4
-        n_feature_layers = len(h.layers) - h.num_head_layers
+        n_feature_layers = len(h.layers)
         assert len(stats) == n_feature_layers - 1  # no BN on the last one
         for var in stats:
             assert var.shape[0] == 4
@@ -216,8 +268,9 @@ class TestInstantiate:
         space = default_space()
         net = sample_random(space, random.Random(13))
         h = instantiate(net, space, seed=1)
+        head = ref_instantiate(net, space, seed=1).head
         x = np.random.default_rng(3).standard_normal((2, 3, 32, 32), dtype=np.float32)
-        logits = h.forward(x)
+        logits = ref_logits(h, head, x)
         assert logits.shape == (2, space.num_classes, 1, 1)
 
     def test_wrong_input_shape_raises(self):
@@ -242,19 +295,27 @@ class TestForwardParity:
     GENOMES = 6
 
     @pytest.fixture(scope="class")
-    def nets(self):
-        space = default_space()
+    def genomes(self):
         rng = random.Random(888)
-        return [instantiate(sample_random(space, rng), space, seed=i) for i in range(self.GENOMES)]
+        return [sample_random(default_space(), rng) for _ in range(self.GENOMES)]
+
+    @pytest.fixture(scope="class")
+    def nets(self, genomes):
+        return [instantiate(g, default_space(), seed=i) for i, g in enumerate(genomes)]
+
+    @pytest.fixture(scope="class")
+    def heads(self, genomes):
+        # The classifier head instantiate leaves out, from the oracle's draw.
+        return [ref_instantiate(g, default_space(), seed=i).head for i, g in enumerate(genomes)]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_every_layer_and_bn_output_bit_identical(self, nets, dtype):
-        # Walk each net as HybridNet._run does; every layer gets the real
-        # output (and layout) of the previous one.
+        # Walk each net as HybridNet.feature_forward does; every layer gets
+        # the real output (and layout) of the previous one.
         kinds = set()
         for i, h in enumerate(nets):
             x = np.random.default_rng(i).standard_normal((16, 3, 32, 32)).astype(dtype)
-            n = len(h.layers) - h.num_head_layers
+            n = len(h.layers)
             starts = {b.first_layer: b for b in h.blocks}
             saved = end = None
             stats, ref_stats = [], []
@@ -284,12 +345,12 @@ class TestForwardParity:
         assert {t for t, dense, k in kinds if not dense} == set(LayerType)
         assert {t for t, dense, k in kinds if dense and k == 1} == set(LayerType)
 
-    def test_zen_score_and_logits_bit_identical(self, nets, monkeypatch):
+    def test_zen_score_and_logits_bit_identical(self, nets, heads, monkeypatch):
         x = np.random.default_rng(7).standard_normal((2, 3, 32, 32), dtype=np.float32)
-        got = [(zeroshot.zen_score(h, rng=np.random.default_rng(i)), h.forward(x))
-               for i, h in enumerate(nets)]
+        got = [(zeroshot.zen_score(h, rng=np.random.default_rng(i)), ref_logits(h, head, x))
+               for i, (h, head) in enumerate(zip(nets, heads))]
         monkeypatch.setattr(HybridLayer, "forward", ref_layer_forward)
         monkeypatch.setattr(nn, "_batch_norm", ref_batch_norm)
-        for i, (h, (score, logits)) in enumerate(zip(nets, got)):
+        for i, (h, head, (score, logits)) in enumerate(zip(nets, heads, got)):
             assert zeroshot.zen_score(h, rng=np.random.default_rng(i)) == score
-            assert np.array_equal(h.forward(x), logits)
+            assert np.array_equal(ref_logits(h, head, x), logits)

@@ -38,7 +38,7 @@ def toy_conv_net(weights, strides, res):
         desc = LayerDescriptor(LayerType.CONV, ci, co, k, s, 1, h, w)
         layers.append(HybridLayer(desc, wt.astype(np.float32)))
         h, w = desc.out_h, desc.out_w
-    return HybridNet(layers=layers, blocks=[], input_resolution=res, num_head_layers=0)
+    return HybridNet(layers=layers, blocks=[], input_resolution=res)
 
 
 class TestNNDegree:
