@@ -27,7 +27,7 @@ from .reproduce import (
     compare_workloads,
     run_reference_checks,
 )
-from .search_space import MembershipViolation, SubNetwork, validate
+from .search_space import MembershipViolation, SubNetwork, expand_blocks, validate
 
 PERF_CSV_COLUMNS = [
     "genome", "klut", "klut_pct", "dsp", "dsp_pct", "bram_blocks", "bram_pct",
@@ -147,10 +147,9 @@ def cmd_score(args, cfg: RunConfig) -> int:
         nets = [sample_random(cfg.space, rng) for _ in range(args.random)]
     else:
         raise SystemExit("score: need --genomes FILE or --random N")
-    for net in nets:
-        validate(cfg.space, net)
-
-    scores = [cs.zero_shot_scores(net, cfg.space, cfg.params, args.seed) for net in nets]
+    expansions = [expand_blocks(cfg.space, net) for net in nets]
+    scores = [cs.zero_shot_scores(net, cfg.space, cfg.params, args.seed, expansion)
+              for net, expansion in zip(nets, expansions)]
     rows = [
         {"genome_id": f"{net.digest():016x}", "genome": _genome_str(net),
          "nn_degree": nn_val, "zen_score": float("nan") if zen_val is None else zen_val,

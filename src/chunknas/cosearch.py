@@ -46,6 +46,7 @@ from .accel import (
 )
 from .nn import NonFiniteScore, instantiate
 from .search_space import (
+    BlockInfo,
     LayerDescriptor,
     LayerType,
     MacProfile,
@@ -54,6 +55,7 @@ from .search_space import (
     count_macs,
     crossover,
     expand,
+    expand_blocks,
     mutate,
     sample_random,
     validate,
@@ -545,7 +547,7 @@ def _evaluate_candidate(
     coeffs: EnergyCoeffs,
     params: SearchParams,
 ) -> CandidateEval:
-    layers = expand(space, net)
+    layers, blocks = expand_blocks(space, net)
     try:
         result = search_accelerator_layers(layers, budget, coeffs)
     except InfeasibleBudget as exc:
@@ -554,7 +556,7 @@ def _evaluate_candidate(
     if reason is not None:
         return CandidateEval(net, result.config, result.report, None, None,
                              reject_reason=reason)
-    nn_val, zen_val = zero_shot_scores(net, space, params, params.seed)
+    nn_val, zen_val = zero_shot_scores(net, space, params, params.seed, (layers, blocks))
     return CandidateEval(net, result.config, result.report, nn_val, zen_val,
                          degenerate=zen_val is None)
 
@@ -564,14 +566,16 @@ def zero_shot_scores(
     space: SearchSpace,
     params: SearchParams,
     seed: int,
+    expansion: tuple[list[LayerDescriptor], list[BlockInfo]],
 ) -> tuple[float, float | None]:
-    """nn_degree and Zen score of one genome. Weight and Zen input seeds
-    derive from (seed, genome digest); the Zen score is None when the
-    network's perturbation response degenerates."""
-    nn_val = zeroshot.nn_degree(space, net)
+    """nn_degree and Zen score of one genome, given its ``expand_blocks``
+    result. Weight and Zen input seeds derive from (seed, genome digest);
+    the Zen score is None when the network's perturbation response
+    degenerates."""
+    nn_val = zeroshot.nn_degree(*expansion)
     weight_seed, zen_seed = derive_seeds(seed, net.digest())
     try:
-        hybrid = instantiate(net, space, weight_seed)
+        hybrid = instantiate(net, space, weight_seed, expansion=expansion)
         zen_val = zeroshot.zen_score(
             hybrid,
             alpha=params.zen_alpha,

@@ -5,11 +5,21 @@ exactly what the score reads: the feature layers (no classifier head), each
 with one float32 weight array, Gaussian for conv/adder and snapped to signed
 powers of two for shift. Every layer output runs through per-batch batch
 norm (no affine) and ReLU except the last one.
+
+Activations are channels-last, (B, H, W, C): ``feature_forward`` transposes
+its NCHW input once. A pointwise conv or shift layer is one product per
+sample with the stored weight, written straight into the channels-last
+output; an adder layer is one cdist of the (B*H*W, C) rows. A depthwise
+layer adds its taps one by one where they read the input; padding adds
+nothing to conv and shift, and a per-layer table of sum |w| to the adder.
+Batch norm keeps float32 arrays but takes float64 statistics, without which
+float32 Zen scores strayed from float64 ones by up to 45.6.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -68,49 +78,37 @@ def quantize_shift(w, p_min: int = SHIFT_P_MIN, p_max: int = SHIFT_P_MAX) -> np.
     return bits.view(np.float32).reshape(w.shape)
 
 
-def _pad_same(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    b, c, h, w = x.shape
-    out_h = -(-h // stride)
-    out_w = -(-w // stride)
+def _spans(d: LayerDescriptor) -> list:
+    """Per kernel offset along H, then W: the output slice whose same-padded
+    reads land inside the input and the input slice they read, or None."""
+    axes = []
+    for n_in, n_out in ((d.in_h, d.out_h), (d.in_w, d.out_w)):
+        pad = max((n_out - 1) * d.stride + d.kernel - n_in, 0) // 2
+        spans = []
+        for i in range(d.kernel):
+            lo = max(0, -(-(pad - i) // d.stride))
+            hi = min(n_out, (n_in - 1 + pad - i) // d.stride + 1)
+            start = lo * d.stride + i - pad
+            spans.append((slice(lo, hi), slice(start, start + (hi - lo - 1) * d.stride + 1, d.stride))
+                         if hi > lo else None)
+        axes.append(spans)
+    return axes
+
+
+def _rows(x: np.ndarray, kernel: int, stride: int):
+    """Dense-layer operand: one row per output position, (B*OH*OW, C*k*k)
+    in the weight's (C, k, k) order; the input itself for 1x1 stride 1, else
+    one copy of the same-padded windows."""
+    b, h, w, c = x.shape
+    if kernel == 1 and stride == 1:
+        return x.reshape(b * h * w, c), h, w
+    out_h, out_w = -(-h // stride), -(-w // stride)
     pad_h = max((out_h - 1) * stride + kernel - h, 0)
     pad_w = max((out_w - 1) * stride + kernel - w, 0)
-    if pad_h == 0 and pad_w == 0:
-        return x
-    xp = np.zeros((b, c, h + pad_h, w + pad_w), dtype=x.dtype)
-    xp[:, :, pad_h // 2 : pad_h // 2 + h, pad_w // 2 : pad_w // 2 + w] = x
-    return xp
-
-
-def _windows(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """Sliding windows of the same-padded input as a view: (B, C, OH, OW, k, k)."""
-    xp = _pad_same(x, kernel, stride)
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kernel, kernel), axis=(2, 3))
-    return win[:, :, ::stride, ::stride]
-
-
-def _cols(x: np.ndarray, kernel: int, stride: int):
-    """Dense-layer operand (B, C*k*k, OH*OW). A 1x1 stride-1 layer reads its
-    input as is (a view where the layout allows); larger kernels copy the
-    windows once."""
-    b, c, h, w = x.shape
-    if kernel == 1 and stride == 1:
-        return x.reshape(b, c, h * w), h, w
-    win = _windows(x, kernel, stride)
-    oh, ow = win.shape[2:4]
-    return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kernel * kernel, oh * ow), oh, ow
-
-
-@functools.lru_cache(maxsize=64)
-def _tap_index(b: int, hp: int, wp: int, oh: int, ow: int, kernel: int, stride: int) -> np.ndarray:
-    """Read-only (k*k, B*OH*OW) flat positions into B stacked (Hp, Wp)
-    planes: tap (i, j) of output (b, y, x) reads row y*stride + i, column
-    x*stride + j of plane b."""
-    out = (np.arange(b)[:, None, None] * hp + stride * np.arange(oh)[:, None]) * wp \
-        + stride * np.arange(ow)
-    tap = np.arange(kernel)[:, None] * wp + np.arange(kernel)
-    idx = tap.reshape(-1, 1) + out.reshape(1, -1)
-    idx.flags.writeable = False
-    return idx
+    xp = np.zeros((b, h + pad_h, w + pad_w, c), dtype=x.dtype)
+    xp[:, pad_h // 2 : pad_h // 2 + h, pad_w // 2 : pad_w // 2 + w] = x
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kernel, kernel), axis=(1, 2))
+    return win[:, ::stride, ::stride].reshape(b * out_h * out_w, c * kernel * kernel), out_h, out_w
 
 
 @dataclass
@@ -119,86 +117,75 @@ class HybridLayer:
     weight: np.ndarray              # float32; for shift layers a signed power of two
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        """The layer on a channels-last batch (B, H, W, C_in); the result is
+        a fresh C-contiguous (B, OH, OW, C_out) array."""
         d = self.desc
-        if x.shape[1] != d.in_channels or x.shape[2] != d.in_h or x.shape[3] != d.in_w:
+        if x.shape[1:] != (d.in_h, d.in_w, d.in_channels):
             raise ShapeMismatch(
-                f"expected input (B, {d.in_channels}, {d.in_h}, {d.in_w}), got {x.shape}"
+                f"expected input (B, {d.in_h}, {d.in_w}, {d.in_channels}), got {x.shape}"
             )
         if d.groups == 1:
-            if d.op_type is LayerType.ADDER:
-                return self._forward_adder_dense(x)
-            return self._forward_conv_dense(x)
+            return self._forward_dense(x)
         if d.groups == d.in_channels and d.out_channels == d.in_channels:
-            if d.op_type is LayerType.ADDER:
-                return self._forward_adder_dw(x)
-            return self._forward_conv_dw(x)
+            return self._forward_dw(x)
         raise NotImplementedError(f"unsupported groups={d.groups}")
 
-    def _forward_conv_dense(self, x: np.ndarray) -> np.ndarray:
-        d = self.desc
-        cols, oh, ow = _cols(x, d.kernel, d.stride)
-        out = self.weight.reshape(d.out_channels, -1) @ cols
-        return out.reshape(x.shape[0], d.out_channels, oh, ow)
+    def _forward_dense(self, x: np.ndarray) -> np.ndarray:
+        # Conv, shift: W times each sample's rows, transposed, into a
+        # transposed output view (one tall, thin product of all rows is slow
+        # under multithreaded BLAS in a thread pool). Adder: cdist of the
+        # rows, imported on first use so accelerator-only runs skip scipy.
+        b, o = x.shape[0], self.desc.out_channels
+        rows, oh, ow = _rows(x, self.desc.kernel, self.desc.stride)
+        w = self.weight.reshape(o, -1)
+        if self.desc.op_type is LayerType.ADDER:
+            from scipy.spatial.distance import cdist
 
-    def _forward_conv_dw(self, x: np.ndarray) -> np.ndarray:
-        # One (k*k)-tap dot product per channel as a batched matmul over
-        # (C, k*k, B*OH*OW) taps, gathered in one indexed take from the
-        # padded input laid out (C, B*Hp*Wp). The result stays a
-        # (C, B, OH*OW)-major view, strides of size-1 axes included: the next
-        # layer's BLAS call sees them.
-        d = self.desc
-        b, c = x.shape[:2]
-        k, oh, ow = d.kernel, d.out_h, d.out_w
-        if ow == 1 and (oh == 1 or b == 1):
-            # One window column (so Wp == k when k > stride) of one window
-            # or one plane, as at OH*OW = 1: the windows reshape to the taps
-            # as a strided view, and matmul's own loop over that view sets
-            # the bits. A contiguous copy would go to BLAS and round
-            # differently.
-            win = _windows(x, k, d.stride)
-            taps = win.transpose(1, 4, 5, 0, 2, 3).reshape(c, k * k, b * oh * ow)
+            out = cdist(rows, w, metric="cityblock").astype(x.dtype)
+            np.negative(out, out=out)
         else:
-            xt = _pad_same(x.transpose(1, 0, 2, 3), k, d.stride)
-            idx = _tap_index(b, xt.shape[2], xt.shape[3], oh, ow, k, d.stride)
-            taps = np.take(xt.reshape(c, -1), idx, axis=1, mode="clip")
-        out = np.matmul(self.weight.reshape(c, 1, k * k), taps)
-        return out.reshape(c, b, oh * ow).transpose(1, 0, 2).reshape(b, c, oh, ow)
+            out = np.empty((b, oh * ow, o), dtype=np.result_type(x, w))
+            np.matmul(w, rows.reshape(b, oh * ow, -1).transpose(0, 2, 1), out=out.transpose(0, 2, 1))
+        return out.reshape(b, oh, ow, o)
 
-    def _forward_adder_dense(self, x: np.ndarray) -> np.ndarray:
-        # Imported on first use, so runs of the accelerator cost model alone
-        # never load scipy; later calls find it in sys.modules. cdist
-        # computes on float64 rows; stage them once, straight from the input
-        # (or window) layout. The result stays (B, OH*OW, O)-major.
-        from scipy.spatial.distance import cdist
-
+    def _forward_dw(self, x: np.ndarray) -> np.ndarray:
+        # Tap by tap in kernel order, each tap adds its input view times the
+        # tap's C weights (adder: |view - w|) into the output positions that
+        # read the input; the inner axis is C. Padded reads add nothing to
+        # conv and shift; for the adder the output starts from their sum.
         d = self.desc
-        cols, oh, ow = _cols(x, d.kernel, d.stride)
-        b, k, p = cols.shape
-        flat = np.empty((b * p, k), dtype=np.float64)
-        np.copyto(flat.reshape(b, p, k), cols.transpose(0, 2, 1))
-        dist = cdist(flat, self.weight.reshape(d.out_channels, k), metric="cityblock")
-        out = dist.astype(x.dtype)
-        np.negative(out, out=out)
-        return out.reshape(b, p, d.out_channels).transpose(0, 2, 1).reshape(b, d.out_channels, oh, ow)
+        tap_w = np.ascontiguousarray(self.weight.reshape(d.out_channels, -1).T)
+        out = np.empty((x.shape[0], d.out_h, d.out_w, d.out_channels), np.result_type(x, tap_w))
+        tmp = np.empty_like(out)
+        adder = d.op_type is LayerType.ADDER
+        out[...] = self._padding_l1 if adder else 0
+        for tap, (r, s) in enumerate(itertools.product(*_spans(d))):
+            if r is None or s is None:
+                continue
+            v, t = x[:, r[1], s[1]], tmp[:, r[0], s[0]]
+            if adder:
+                np.abs(np.subtract(v, tap_w[tap], out=t), out=t)
+            else:
+                np.multiply(v, tap_w[tap], out=t)
+            out[:, r[0], s[0]] += t
+        if adder:
+            np.negative(out, out=out)
+        return out
 
-    def _forward_adder_dw(self, x: np.ndarray) -> np.ndarray:
-        # One indexed take gathers the taps into a contiguous (B*C, k*k, P)
-        # array that then holds the tap differences in place, so the tap sum
-        # keeps numpy's order (pairwise when P = 1). The weight is float32,
-        # so the differences keep the input's dtype.
+    @functools.cached_property
+    def _padding_l1(self) -> np.ndarray:
+        """Depthwise adder: per output position and channel, the sum of |w|
+        over the taps that read zero padding, (OH, OW, C) float64, added tap
+        by tap in kernel order."""
         d = self.desc
-        b, c = x.shape[:2]
-        k, oh, ow = d.kernel, d.out_h, d.out_w
-        xp = _pad_same(x, k, d.stride)
-        hp, wp = xp.shape[2:]
-        idx = _tap_index(1, hp, wp, oh, ow, k, d.stride)
-        diff = np.take(xp.reshape(b * c, hp * wp), idx, axis=1, mode="clip")
-        diff = diff.reshape(b, c, k * k, oh * ow)
-        diff -= self.weight.reshape(1, c, k * k, 1)
-        np.abs(diff, out=diff)
-        out = diff.sum(axis=2)
-        np.negative(out, out=out)
-        return out.reshape(b, c, oh, ow)
+        absw = np.abs(self.weight.reshape(d.out_channels, -1).T.astype(np.float64))
+        table = np.zeros((d.out_h, d.out_w, d.out_channels))
+        for tap, (r, s) in enumerate(itertools.product(*_spans(d))):
+            padded = np.ones((d.out_h, d.out_w), dtype=bool)
+            if r is not None and s is not None:
+                padded[r[0], s[0]] = False
+            table[padded] += absw[tap]
+        return table
 
 
 @dataclass
@@ -214,7 +201,9 @@ class HybridNet:
         return self.layers[0].desc.in_channels
 
     def feature_forward(self, x: np.ndarray, bn_stats: list | None = None) -> np.ndarray:
-        """Run every layer (the zero-shot extractor); the last output is raw.
+        """Run every layer (the zero-shot extractor) on an NCHW batch. The
+        input is transposed to channels-last once; the result is the last
+        layer's raw output, (B, OH, OW, C).
 
         With ``bn_stats`` given, every batch norm appends its per-sample
         spatial variance per channel, pre-normalization, (B, C) float64.
@@ -227,42 +216,50 @@ class HybridNet:
             )
         if x.dtype not in (np.float32, np.float64):
             x = x.astype(np.float32)
+        x = x.transpose(0, 2, 3, 1)
         block_starts = {b.first_layer: b for b in self.blocks}
-        residual_stack: BlockInfo | None = None
-        saved = None
+        saved = end = None
         last = len(self.layers) - 1
         for idx, layer in enumerate(self.layers):
             blk = block_starts.get(idx)
             if blk is not None and blk.residual_channels:
-                residual_stack = blk
-                saved = x
+                saved, end = x, blk.first_layer + blk.num_layers - 1
             x = layer.forward(x)
             if idx != last:
                 # _batch_norm returns a fresh array, so ReLU may run in place.
                 x = _batch_norm(x, bn_stats)
                 np.maximum(x, 0.0, out=x)
-            if residual_stack is not None and idx == residual_stack.first_layer + residual_stack.num_layers - 1:
-                # Not in place: with operands of two layouts the sum comes out
-                # C-ordered, and the next layer's bits depend on the layout.
-                x = x + saved
-                residual_stack = None
-                saved = None
+            if idx == end:
+                x += saved
+                saved = end = None
         if not np.all(np.isfinite(x)):
             raise NonFiniteScore("non-finite activations")
         return x
 
 
 def _batch_norm(x: np.ndarray, sample_var_sink: list | None) -> np.ndarray:
-    """Batch statistics, no affine. The centred copy is made once, serves
-    the variance and is normalized in place (the same operations, in the
-    same order, as ``x.var``)."""
-    d = x - x.mean(axis=(0, 2, 3), keepdims=True)
-    var = np.square(d).mean(axis=(0, 2, 3), keepdims=True)
+    """Batch statistics, no affine, of a contiguous channels-last array:
+    each sample's spatial rows, then the batch, reduced into float64 means
+    and variances; arrays stay in x's dtype. x - m_b (m_b rounded to that
+    dtype) gives the per-sample variances and becomes the output
+    ((x - m_b) + (m_b - m)) / sqrt(var + eps), so a large mean (adder
+    outputs) is subtracted once, from values close to it."""
+    b, c = x.shape[0], x.shape[-1]
+    rows = x.reshape(b, -1, c)
+    n = rows.shape[1]
+    # ndarray.mean's arithmetic without its Python overhead (small maps).
+    sample_mean = np.add.reduce(rows, axis=1, dtype=np.float64) / n
+    centre = sample_mean.astype(x.dtype)
+    d = rows - centre[:, None]
+    sample_var = np.add.reduce(np.square(d), axis=1, dtype=np.float64) / n
+    mean = np.add.reduce(sample_mean) / b
+    var = np.add.reduce(sample_var + np.square(sample_mean - mean)) / b
     if sample_var_sink is not None:
         # Per-sample spatial variance per channel, pre-normalization: (B, C).
-        sample_var_sink.append(x.var(axis=(2, 3)).astype(np.float64))
-    d /= np.sqrt(var + BN_EPS)
-    return d
+        sample_var_sink.append(sample_var)
+    d += (centre - mean).astype(x.dtype)[:, None]
+    d /= np.sqrt(var + BN_EPS).astype(x.dtype)
+    return d.reshape(x.shape)
 
 
 def instantiate(
@@ -271,12 +268,14 @@ def instantiate(
     seed: int,
     p_min: int = SHIFT_P_MIN,
     p_max: int = SHIFT_P_MAX,
+    expansion: tuple[list[LayerDescriptor], list[BlockInfo]] | None = None,
 ) -> HybridNet:
-    """Expand a genome and draw He-style N(0, 2/fan_in) weights for its
-    feature layers; shift-layer weights are then snapped to signed powers of
-    two. The classifier head, which the expansion lists last, is not drawn,
-    so the feature weights equal those of a draw that includes it."""
-    layers_desc, blocks = expand_blocks(space, net)
+    """Draw He-style N(0, 2/fan_in) weights for the feature layers of a
+    genome; shift-layer weights are then snapped to signed powers of two.
+    ``expansion`` is the genome's ``expand_blocks`` result when the caller
+    has it already. The classifier head, which the expansion lists last, is
+    not drawn, so the feature weights equal those of a draw that includes it."""
+    layers_desc, blocks = expansion or expand_blocks(space, net)
     rng = np.random.default_rng(seed)
     layers = []
     for d in layers_desc[:-NUM_HEAD_LAYERS]:

@@ -63,7 +63,11 @@ def _is_number(v) -> bool:
 
 
 def _choice_tuple(values: Sequence[int], what: str) -> tuple[int, ...]:
-    out = tuple(sorted(set(int(v) for v in values)))
+    values = tuple(values)
+    bad = [v for v in values if not (_is_int(v) and v > 0)]
+    if bad:
+        raise ValueError(f"{what}: choices must be integers > 0, got {bad[0]!r}")
+    out = tuple(sorted(set(values)))
     if not out:
         raise ValueError(f"{what}: choice set must be non-empty")
     return out
@@ -93,8 +97,6 @@ class StageSpec:
             raise ValueError(f"kernel choices must be within {{3, 5}}, got {self.kernel_choices}")
         if self.stride not in (1, 2):
             raise ValueError(f"stride must be 1 or 2, got {self.stride}")
-        if min(self.depth_choices) < 1:
-            raise ValueError("depths must be >= 1")
 
 
 # MobileNet-family downsampling pattern: stem stride 2, then stages 1..7.

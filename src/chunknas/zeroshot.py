@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .nn import BN_EPS, HybridNet, NonFiniteScore
-from .search_space import SearchSpace, SubNetwork, expand_blocks
+from .search_space import BlockInfo, LayerDescriptor
 
 ZEN_ALPHA = 0.01
 ZEN_BATCH = 16
@@ -33,14 +33,14 @@ class ZeroShotScore:
     combined_rank: int
 
 
-def nn_degree(space: SearchSpace, net: SubNetwork) -> float:
-    """Connectivity score over IRB blocks.
+def nn_degree(layers: Sequence[LayerDescriptor], blocks: Sequence[BlockInfo]) -> float:
+    """Connectivity score over the IRB blocks of an expanded genome
+    (``expand_blocks``).
 
     Per block: (sum of layer output channels) / (layer count)
     + (residual channels) / (sum of layer input channels). No tensors needed;
     the value depends only on channel topology.
     """
-    layers, blocks = expand_blocks(space, net)
     total = 0.0
     for blk in blocks:
         members = layers[blk.first_layer : blk.first_layer + blk.num_layers]
@@ -123,17 +123,6 @@ def _zen_from_draws(net: HybridNet, draws, alpha: float) -> float | None:
     if not math.isfinite(score):
         raise NonFiniteScore(f"non-finite score {score}")
     return score
-
-
-def zen_perturbation_term(net: HybridNet, alpha: float, batch: int,
-                          rng: np.random.Generator) -> float:
-    """First term only (no BN statistics), for linearity fixtures."""
-    res = net.input_resolution
-    x = rng.standard_normal((batch, net.in_channels, res, res), dtype=np.float32)
-    eps = rng.standard_normal((batch, net.in_channels, res, res), dtype=np.float32)
-    y0 = net.feature_forward(x)
-    y1 = net.feature_forward(x + alpha * eps)
-    return math.log(float(np.linalg.norm((y0 - y1).ravel())))
 
 
 def _bn_log_term(sample_vars: list[np.ndarray]) -> float:

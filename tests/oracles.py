@@ -101,56 +101,72 @@ def ref_zen_score(weights, strides, x, eps, alpha):
 
 
 def ref_patches(x, kernel, stride):
-    """Sliding windows of the same-padded input (np.pad) as (B, C, k*k,
-    OH*OW): a C-contiguous copy, or a strided view where the windows
-    reshape without one (one window column, Wp == k)."""
-    _, _, h, w = x.shape
+    """Sliding windows of the same-padded (np.pad) channels-last input:
+    (B, OH, OW, C, k, k), a view of the padded copy."""
+    _, h, w, _ = x.shape
     oh, ow = -(-h // stride), -(-w // stride)
     ph = max((oh - 1) * stride + kernel - h, 0)
     pw = max((ow - 1) * stride + kernel - w, 0)
-    if ph or pw:
-        x = np.pad(x, ((0, 0), (0, 0), (ph // 2, ph - ph // 2), (pw // 2, pw - pw // 2)))
-    win = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]
-    b, c, oh, ow, _, _ = win.shape
-    return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c, kernel * kernel, oh * ow), oh, ow
+    xp = np.pad(x, ((0, 0), (ph // 2, ph - ph // 2), (pw // 2, pw - pw // 2), (0, 0)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kernel, kernel), axis=(1, 2))
+    return win[:, ::stride, ::stride]
 
 
 def ref_layer_forward(layer, x):
-    """A hybrid layer's output computed the straightforward way, with the
-    value bits and memory layout the package's forward must reproduce:
-    ``ref_patches`` for every layer, depthwise conv/shift as one
-    per-channel matmul over the transposed patches (a copy unless they
-    reshape as a view; a (C, B, OH*OW)-major result), depthwise adder as
-    ``cols - w`` into a C-ordered (B, C, k*k, OH*OW) array (the tap sum
-    follows that order), and the dense adder staged as a contiguous copy of
-    the rows in the input dtype that cdist up-converts to float64 (a
-    (B, OH*OW, O)-major result)."""
+    """A hybrid layer's output on a channels-last batch, computed the
+    straightforward way, with the value bits and memory layout the
+    package's forward must reproduce (a C-contiguous (B, OH, OW, O) array).
+
+    Dense layers read one row per output position, (B*OH*OW, C*k*k) in the
+    weight's (C, k, k) order (the input itself for 1x1): conv and shift
+    multiply the weight by each sample's rows, transposed, and transpose
+    the product back; the adder takes cdist of the rows.
+    Depthwise layers sum over the k*k taps of the zero-padded input in
+    kernel order, into an accumulator that starts at zero (conv, shift:
+    tap times weight) or, for the adder, at the float64 sum of |w| over
+    the taps that read padding, rounded to the input's dtype; each tap then
+    adds |x - w| where it reads the input."""
     d = layer.desc
-    cols, oh, ow = ref_patches(x, d.kernel, d.stride)
-    b = x.shape[0]
-    dense = d.groups == 1
-    if d.op_type is LayerType.ADDER:
-        if dense:
-            k = d.in_channels * d.kernel ** 2
-            flat = np.ascontiguousarray(
-                cols.reshape(b, k, oh * ow).transpose(0, 2, 1)).reshape(b * oh * ow, k)
-            dist = cdist(flat, layer.weight.reshape(d.out_channels, k), metric="cityblock")
-            out = -dist.reshape(b, oh * ow, d.out_channels).transpose(0, 2, 1)
-            return out.astype(x.dtype).reshape(b, d.out_channels, oh, ow)
-        w = layer.weight.reshape(d.out_channels, d.kernel ** 2)[None, :, :, None]
-        diff = np.subtract(cols, w, order="C")
-        np.abs(diff, out=diff)
-        return (-diff.sum(axis=2)).reshape(b, d.out_channels, oh, ow)
-    if dense:
+    b, h, w, c = x.shape
+    k, oh, ow = d.kernel, d.out_h, d.out_w
+    if d.groups == 1:
+        rows = ref_patches(x, k, d.stride).reshape(b * oh * ow, c * k * k) \
+            if k > 1 or d.stride > 1 else x.reshape(b * h * w, c)
         wmat = layer.weight.reshape(d.out_channels, -1)
-        out = wmat @ cols.reshape(b, d.in_channels * d.kernel ** 2, oh * ow)
-        return out.reshape(b, d.out_channels, oh, ow)
-    c, kk = d.out_channels, d.kernel ** 2
-    w = layer.weight.reshape(c, kk)
-    taps = cols.transpose(1, 2, 0, 3).reshape(c, kk, b * oh * ow)
-    out = np.matmul(w[:, None, :], taps).reshape(c, b, oh * ow).transpose(1, 0, 2)
-    return out.reshape(b, c, oh, ow)
+        if d.op_type is LayerType.ADDER:
+            out = -cdist(rows, wmat, metric="cityblock").astype(x.dtype)
+        else:
+            per_sample = rows.reshape(b, oh * ow, -1).transpose(0, 2, 1)
+            out = np.ascontiguousarray(np.matmul(wmat, per_sample).transpose(0, 2, 1))
+        return out.reshape(b, oh, ow, d.out_channels)
+    ph = max((oh - 1) * d.stride + k - h, 0)
+    pw = max((ow - 1) * d.stride + k - w, 0)
+    pads = ((ph // 2, ph - ph // 2), (pw // 2, pw - pw // 2))
+    xp = np.pad(x, ((0, 0), *pads, (0, 0)))
+    inside = np.pad(np.ones((h, w), dtype=bool), pads)
+    dtype = np.result_type(x, layer.weight)
+    adder = d.op_type is LayerType.ADDER
+    if adder:
+        padding_l1 = np.zeros((oh, ow, c))
+        for i in range(k):
+            for j in range(k):
+                read_pad = ~inside[i : i + (oh - 1) * d.stride + 1 : d.stride,
+                                   j : j + (ow - 1) * d.stride + 1 : d.stride]
+                padding_l1 += read_pad[..., None] * np.abs(layer.weight[:, 0, i, j].astype(np.float64))
+        acc = np.broadcast_to(padding_l1.astype(dtype), (b, oh, ow, c)).copy()
+    else:
+        acc = np.zeros((b, oh, ow, c), dtype=dtype)
+    for i in range(k):
+        for j in range(k):
+            rows = slice(i, i + (oh - 1) * d.stride + 1, d.stride)
+            cols = slice(j, j + (ow - 1) * d.stride + 1, d.stride)
+            tap = xp[:, rows, cols]
+            wt = layer.weight[:, 0, i, j]
+            if adder:
+                acc += np.where(inside[rows, cols][..., None], np.abs(tap - wt), 0)
+            else:
+                acc += tap * wt
+    return -acc if adder else acc
 
 
 def ref_quantize_shift(w, p_min=SHIFT_P_MIN, p_max=SHIFT_P_MAX):
@@ -206,11 +222,13 @@ def ref_instantiate(net, space, seed):
 
 
 def ref_logits(net, head, x):
-    """The classifier forward: every feature layer normalized (residual
-    sums after the ReLU), then the MBPool conv, batch norm, ReLU, global
-    average pool and the classifier. It composes ``HybridLayer.forward`` and
+    """The classifier forward on an NCHW batch, as NCHW logits: every
+    feature layer normalized (residual sums after the ReLU), then the
+    MBPool conv, batch norm, ReLU, global average pool and the classifier,
+    all channels-last. It composes ``HybridLayer.forward`` and
     ``nn._batch_norm`` as looked up at call time, so a test can swap in the
     reference formulas."""
+    x = x.transpose(0, 2, 3, 1)
     starts = {b.first_layer: b for b in net.blocks}
     saved = end = None
     for idx, layer in enumerate(net.layers):
@@ -224,18 +242,35 @@ def ref_logits(net, head, x):
             saved = end = None
     y = nn._batch_norm(head[0].forward(x), None)
     np.maximum(y, 0.0, out=y)
-    y = y.mean(axis=(2, 3), keepdims=True)
-    return head[1].forward(y)
+    y = y.mean(axis=(1, 2), keepdims=True)
+    return head[1].forward(y).transpose(0, 3, 1, 2)
 
 
 def ref_batch_norm(x, sample_var_sink):
-    """Batch statistics, no affine, from separate mean and variance
-    reductions."""
-    mean = x.mean(axis=(0, 2, 3), keepdims=True)
-    var = x.var(axis=(0, 2, 3), keepdims=True)
+    """Batch statistics, no affine, of a channels-last array: per-sample
+    spatial means in float64, per-sample variances about those means
+    (rounded to x's dtype), combined over the batch in float64; the output
+    is (x - m_b) + (m_b - m), divided by sqrt(var + eps), in x's dtype."""
+    sample_mean = x.mean(axis=(1, 2), dtype=np.float64)
+    centre = sample_mean.astype(x.dtype)[:, None, None, :]
+    d = x - centre
+    sample_var = np.square(d).mean(axis=(1, 2), dtype=np.float64)
+    mean = sample_mean.mean(axis=0)
+    var = (sample_var + (sample_mean - mean) ** 2).mean(axis=0)
     if sample_var_sink is not None:
-        sample_var_sink.append(x.var(axis=(2, 3)).astype(np.float64))
-    return (x - mean) / np.sqrt(var + BN_EPS)
+        sample_var_sink.append(sample_var)
+    return (d + (centre - mean).astype(x.dtype)) / np.sqrt(var + BN_EPS).astype(x.dtype)
+
+
+def zen_perturbation_term(net, alpha, batch, rng):
+    """The first Zen term alone, log ||f(x) - f(x + alpha*eps)||_F on one
+    Gaussian draw (no batch-norm statistics), for linearity fixtures."""
+    res = net.input_resolution
+    x = rng.standard_normal((batch, net.in_channels, res, res), dtype=np.float32)
+    eps = rng.standard_normal((batch, net.in_channels, res, res), dtype=np.float32)
+    y0 = net.feature_forward(x)
+    y1 = net.feature_forward(x + alpha * eps)
+    return math.log(float(np.linalg.norm((y0 - y1).ravel())))
 
 
 def _ladder(limit):

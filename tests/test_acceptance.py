@@ -210,7 +210,8 @@ def test_criterion_09_layer_semantics():
         k = int(rng.choice([1, 3, 5]))
         stride = int(rng.choice([1, 2]))
         h = int(rng.integers(k, 10))
-        x = rng.standard_normal((2, ci, h, h), dtype=np.float32)
+        # Channels-last, as the forward runs.
+        x = rng.standard_normal((2, ci, h, h), dtype=np.float32).transpose(0, 2, 3, 1)
 
         # Shift forward must equal a conv with the quantized weights,
         # to floating-point equality; the quantizer must give the float64

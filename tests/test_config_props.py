@@ -1,8 +1,10 @@
 """Property test of run-config resolution: random ``CHUNKNAS_<SECTION>_<KEY>``
 environment overrides either load or raise ``ParseError`` (CLI exit 2),
 never another exception; and a budget that loads drives the accelerator
-search to a design that fits it, or to ``InfeasibleBudget`` (CLI exit 5)."""
+search to a design that fits it, or to ``InfeasibleBudget`` (CLI exit 5).
+Also the stage choice values of a config file: integers > 0 or exit 2."""
 
+import json
 import random
 
 import pytest
@@ -11,6 +13,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from chunknas.accel import InfeasibleBudget
+from chunknas.cli import main
 from chunknas.config import ParseError, RunConfig, load_run_config
 from chunknas.cosearch import search_accelerator
 from chunknas.search_space import default_space, sample_random
@@ -60,3 +63,27 @@ def test_loaded_budget_fits_or_is_infeasible(environ):
     except InfeasibleBudget:
         return
     config.assert_fits(cfg.budget)
+
+
+def _space_config(tmp_path, stage, key, choices):
+    doc = default_space().to_dict()
+    doc["stages"][stage][key] = choices
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"space": doc}))
+    return path
+
+
+def test_zero_channel_choice_exits_2(tmp_path, capsys):
+    # Once a ZeroDivisionError traceback in LayerDescriptor.
+    path = _space_config(tmp_path, 0, "channels", [0, 16])
+    rc = main(["--config", str(path), "--seed", "0", "--output", str(tmp_path / "o"),
+               "score", "--random", "2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "channels" in err
+
+
+def test_fractional_expansion_choice_rejected(tmp_path):
+    # Once silently truncated to 2 by int().
+    with pytest.raises(ParseError, match="expansions"):
+        load_run_config(str(_space_config(tmp_path, 1, "expansions", [2.7, 4])), environ={})

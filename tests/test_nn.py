@@ -1,12 +1,21 @@
 import random
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from chunknas import nn, zeroshot
 from chunknas.nn import HybridLayer, ShapeMismatch, instantiate, quantize_shift
-from chunknas.search_space import LayerDescriptor, LayerType, default_space, sample_random
+from chunknas.search_space import (
+    LayerDescriptor,
+    LayerType,
+    StageGene,
+    SubNetwork,
+    default_space,
+    sample_random,
+)
 
 from oracles import (
     ref_adder_same,
@@ -22,6 +31,12 @@ from oracles import (
 
 def _bits(a):
     return np.asarray(a, dtype=np.float32).view(np.uint32)
+
+
+def _nchw(layer, x):
+    """A layer's output on an NCHW batch, as NCHW: the forward itself runs
+    channels-last."""
+    return layer.forward(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
 
 
 class TestQuantizeShift:
@@ -96,7 +111,7 @@ class TestLayerSemantics:
         desc = LayerDescriptor(LayerType.ADDER, 2, 1, 1, 1, 1, 1, 1)
         layer = HybridLayer(desc, np.array([[2.0], [1.0]], dtype=np.float32).reshape(1, 2, 1, 1))
         x = np.array([1.0, 3.0], dtype=np.float32).reshape(1, 2, 1, 1)
-        assert layer.forward(x).ravel().tolist() == [-3.0]
+        assert _nchw(layer, x).ravel().tolist() == [-3.0]
 
     def test_shift_all_ones_equals_conv_of_ones(self):
         rng = np.random.default_rng(1)
@@ -109,13 +124,13 @@ class TestLayerSemantics:
             np.ones((3, 4, 3, 3), dtype=np.float32),
         )
         x = rng.standard_normal((2, 4, 6, 6), dtype=np.float32)
-        assert np.array_equal(shift.forward(x), conv.forward(x))
+        assert np.array_equal(_nchw(shift, x), _nchw(conv, x))
 
     def test_identity_conv_passthrough(self):
         desc = LayerDescriptor(LayerType.CONV, 1, 1, 1, 1, 1, 5, 5)
         layer = HybridLayer(desc, np.ones((1, 1, 1, 1), dtype=np.float32))
         x = np.random.default_rng(2).standard_normal((3, 1, 5, 5), dtype=np.float32)
-        assert np.array_equal(layer.forward(x), x)
+        assert np.array_equal(_nchw(layer, x), x)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_conv_matches_loop_reference(self, seed):
@@ -127,7 +142,7 @@ class TestLayerSemantics:
         desc = LayerDescriptor(LayerType.CONV, int(ci), int(co), k, stride, 1, h, h)
         w = rng.standard_normal((int(co), int(ci), k, k), dtype=np.float32)
         x = rng.standard_normal((2, int(ci), h, h), dtype=np.float32)
-        got = HybridLayer(desc, w).forward(x)
+        got = _nchw(HybridLayer(desc, w), x)
         ref = ref_conv_same(x.astype(np.float64), w.astype(np.float64), stride)
         np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-5)
 
@@ -141,7 +156,7 @@ class TestLayerSemantics:
         desc = LayerDescriptor(LayerType.ADDER, int(ci), int(co), k, stride, 1, h, h)
         w = rng.standard_normal((int(co), int(ci), k, k), dtype=np.float32)
         x = rng.standard_normal((2, int(ci), h, h), dtype=np.float32)
-        got = HybridLayer(desc, w).forward(x)
+        got = _nchw(HybridLayer(desc, w), x)
         ref = ref_adder_same(x.astype(np.float64), w.astype(np.float64), stride)
         np.testing.assert_allclose(got, ref, rtol=1e-4, atol=1e-4)
 
@@ -151,7 +166,7 @@ class TestLayerSemantics:
         desc = LayerDescriptor(LayerType.CONV, c, c, k, 2, c, h, h)
         w = rng.standard_normal((c, 1, k, k), dtype=np.float32)
         x = rng.standard_normal((2, c, h, h), dtype=np.float32)
-        got = HybridLayer(desc, w).forward(x)
+        got = _nchw(HybridLayer(desc, w), x)
         for ch in range(c):
             ref = ref_conv_same(
                 x[:, ch : ch + 1].astype(np.float64), w[ch : ch + 1].astype(np.float64), 2
@@ -164,7 +179,7 @@ class TestLayerSemantics:
         desc = LayerDescriptor(LayerType.ADDER, c, c, k, 1, c, h, h)
         w = rng.standard_normal((c, 1, k, k), dtype=np.float32)
         x = rng.standard_normal((2, c, h, h), dtype=np.float32)
-        got = HybridLayer(desc, w).forward(x)
+        got = _nchw(HybridLayer(desc, w), x)
         for ch in range(c):
             ref = ref_adder_same(
                 x[:, ch : ch + 1].astype(np.float64), w[ch : ch + 1].astype(np.float64), 1
@@ -181,7 +196,7 @@ class TestLayerSemantics:
             desc = LayerDescriptor(LayerType.ADDER, ci, co, k, 1, 1, h, h)
             w = rng.standard_normal((co, ci, k, k), dtype=np.float32)
             x = rng.standard_normal((2, ci, h, h), dtype=np.float32)
-            assert np.all(HybridLayer(desc, w).forward(x) <= 0)
+            assert np.all(_nchw(HybridLayer(desc, w), x) <= 0)
 
     def test_shape_mismatch(self):
         desc = LayerDescriptor(LayerType.CONV, 3, 4, 3, 1, 1, 8, 8)
@@ -273,6 +288,27 @@ class TestInstantiate:
         logits = ref_logits(h, head, x)
         assert logits.shape == (2, space.num_classes, 1, 1)
 
+    def test_shared_net_scored_from_threads(self):
+        # Depthwise adder layers fill their padding table on first use; a
+        # net scored from several threads at once still gives the
+        # single-thread score.
+        space = default_space()
+        base = sample_random(space, random.Random(15))
+        net = SubNetwork(base.first_conv_c, tuple(
+            StageGene(g.c, g.e, g.k, LayerType.ADDER, g.n) for g in base.stages), base.mbpool_c)
+        want = zeroshot.zen_score(instantiate(net, space, seed=2), rng=np.random.default_rng(3))
+        shared = instantiate(net, space, seed=2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(zeroshot.zen_score, shared, rng=np.random.default_rng(3))
+                           for _ in range(4)]
+                got = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want] * 4
+
     def test_wrong_input_shape_raises(self):
         space = default_space()
         net = sample_random(space, random.Random(14))
@@ -288,7 +324,8 @@ def _layout(a):
 
 
 class TestForwardParity:
-    """The copy-lean forward against the straightforward formulas in
+    """The channels-last forward (in-bounds depthwise taps, float64
+    batch-norm statistics) against the straightforward formulas in
     ``oracles``: equal bits and equal memory layout for every layer and
     batch-norm output, hence equal Zen scores."""
 
@@ -310,11 +347,13 @@ class TestForwardParity:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_every_layer_and_bn_output_bit_identical(self, nets, dtype):
-        # Walk each net as HybridNet.feature_forward does; every layer gets
-        # the real output (and layout) of the previous one.
+        # Walk each net as HybridNet.feature_forward does, from the
+        # channels-last view of the NCHW draw; every layer gets the real
+        # output (and layout) of the previous one.
         kinds = set()
         for i, h in enumerate(nets):
             x = np.random.default_rng(i).standard_normal((16, 3, 32, 32)).astype(dtype)
+            x = x.transpose(0, 2, 3, 1)
             n = len(h.layers)
             starts = {b.first_layer: b for b in h.blocks}
             saved = end = None
