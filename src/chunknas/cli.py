@@ -347,7 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="run configuration JSON")
     parser.add_argument("--seed", type=int, default=None, help="master seed")
     parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="parallel candidate evaluations (default: cores)")
+                        help="parallel candidate evaluations (default: cores); run "
+                             "with OPENBLAS_NUM_THREADS=1, since BLAS threads per "
+                             "worker contend for the same cores")
     parser.add_argument("--output", default=None, help="output directory")
     parser.add_argument("--json", action="store_true", help="machine-readable stdout")
     parser.add_argument("--force", action="store_true",
@@ -392,6 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.threads < 1:
+        print(f"error: --threads must be at least 1, got {args.threads}", file=sys.stderr)
+        return 2
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     try:

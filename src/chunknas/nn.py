@@ -1,20 +1,23 @@
 """Numpy forward engine for randomly initialized hybrid networks.
 
-Only inference at init time is needed (zero-shot scoring), so a net holds
-exactly what the score reads: the feature layers (no classifier head), each
-with one float32 weight array, Gaussian for conv/adder and snapped to signed
-powers of two for shift. Every layer output runs through per-batch batch
+Only inference at init time is needed (zero-shot scoring), so a net is a
+plan of its feature layers (no classifier head) and holds no weights.
+``feature_forward`` runs all its inputs in lockstep, layer by layer: it
+draws each layer's float32 weights just before the layer runs (Gaussian for
+conv/adder, snapped to signed powers of two for shift), applies them to
+every input and drops them as the next layer is drawn, so a layer runs with
+only its own weights alive. The draws come from one generator in layer
+order, so every forward of a net sees the same weights. Every layer output runs through per-batch batch
 norm (no affine) and ReLU except the last one.
 
 Activations are channels-last, (B, H, W, C): ``feature_forward`` transposes
-its NCHW input once. A pointwise conv or shift layer is one product per
-sample with the stored weight, written straight into the channels-last
+its NCHW inputs once. A pointwise conv or shift layer is one product per
+sample with the drawn weight, written straight into the channels-last
 output; an adder layer is one cdist of the (B*H*W, C) rows. A depthwise
 layer adds its taps one by one where they read the input; padding adds
 nothing to conv and shift, and a per-layer table of sum |w| to the adder.
 Batch norm keeps float32 arrays but takes float64 statistics, without which
-float32 Zen scores strayed from float64 ones by up to 45.6.
-"""
+float32 Zen scores strayed from float64 ones by up to 45.6."""
 
 from __future__ import annotations
 
@@ -22,6 +25,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -188,53 +192,83 @@ class HybridLayer:
         return table
 
 
-@dataclass
-class HybridNet:
-    """The feature extractor of a genome: stem and IRB blocks, no head."""
+@dataclass(frozen=True)
+class LayerPlan:
+    """A feature layer before its draw; ``desc`` as on a drawn HybridLayer."""
 
-    layers: list[HybridLayer]
+    desc: LayerDescriptor
+
+
+@dataclass(frozen=True)
+class HybridNet:
+    """The feature extractor of a genome (stem and IRB blocks, no head) as a
+    plan: the layers, the residual blocks, and the seed and shift range its
+    weights are drawn with. It holds no weights and no per-call state."""
+
+    layers: list[LayerPlan]
     blocks: list[BlockInfo]
     input_resolution: int
+    seed: int
+    p_min: int = SHIFT_P_MIN
+    p_max: int = SHIFT_P_MAX
 
     @property
     def in_channels(self) -> int:
         return self.layers[0].desc.in_channels
 
-    def feature_forward(self, x: np.ndarray, bn_stats: list | None = None) -> np.ndarray:
-        """Run every layer (the zero-shot extractor) on an NCHW batch. The
-        input is transposed to channels-last once; the result is the last
-        layer's raw output, (B, OH, OW, C).
+    def draw_layers(self) -> Iterator[HybridLayer]:
+        """The layers with their weights, drawn one at a time in forward
+        order from ``default_rng(seed)``: He-style N(0, 2/fan_in), and shift
+        weights then snapped to signed powers of two."""
+        rng = np.random.default_rng(self.seed)
+        for layer in self.layers:
+            d = layer.desc
+            fan_in = (d.in_channels // d.groups) * d.kernel ** 2
+            shape = (d.out_channels, d.in_channels // d.groups, d.kernel, d.kernel)
+            w = rng.standard_normal(shape, dtype=np.float32)
+            w *= np.float32(np.sqrt(2.0 / fan_in))
+            if d.op_type is LayerType.SHIFT:
+                w = quantize_shift(w, self.p_min, self.p_max)
+            yield HybridLayer(d, w)
 
-        With ``bn_stats`` given, every batch norm appends its per-sample
-        spatial variance per channel, pre-normalization, (B, C) float64.
-        """
-        if x.ndim != 4 or x.shape[1] != self.in_channels \
-                or x.shape[2] != self.input_resolution or x.shape[3] != self.input_resolution:
+    def feature_forward(self, x: np.ndarray, bn_stats: list | None = None) -> list[np.ndarray]:
+        """Run every layer (the zero-shot extractor) on N NCHW batches in
+        lockstep, ``x`` of shape (N, B, C, H, W): each layer is drawn, run on
+        every input, and dropped when the next one is drawn. Each input keeps
+        its own arrays, batch norm and residual sums, so its output, the last
+        raw layer output channels-last (B, OH, OW, C), equals that of a
+        forward on it alone. With ``bn_stats`` given, input 0's batch norms
+        append their per-sample spatial variance per channel,
+        pre-normalization, (B, C) float64."""
+        res = self.input_resolution
+        if x.ndim != 5 or x.shape[2:] != (self.in_channels, res, res):
             raise ShapeMismatch(
-                f"expected (B, {self.in_channels}, {self.input_resolution}, "
-                f"{self.input_resolution}), got {x.shape}"
+                f"expected (N, B, {self.in_channels}, {res}, {res}), got {x.shape}"
             )
         if x.dtype not in (np.float32, np.float64):
             x = x.astype(np.float32)
-        x = x.transpose(0, 2, 3, 1)
+        xs = [a.transpose(0, 2, 3, 1) for a in x]
         block_starts = {b.first_layer: b for b in self.blocks}
         saved = end = None
         last = len(self.layers) - 1
-        for idx, layer in enumerate(self.layers):
+        for idx, layer in enumerate(self.draw_layers()):
             blk = block_starts.get(idx)
             if blk is not None and blk.residual_channels:
-                saved, end = x, blk.first_layer + blk.num_layers - 1
-            x = layer.forward(x)
-            if idx != last:
-                # _batch_norm returns a fresh array, so ReLU may run in place.
-                x = _batch_norm(x, bn_stats)
-                np.maximum(x, 0.0, out=x)
+                saved, end = list(xs), blk.first_layer + blk.num_layers - 1
+            for i in range(len(xs)):
+                # Each slot is rebound as soon as its array has been read.
+                xs[i] = layer.forward(xs[i])
+                if idx != last:
+                    # _batch_norm returns a fresh array, so ReLU may run in place.
+                    xs[i] = _batch_norm(xs[i], bn_stats if i == 0 else None)
+                    np.maximum(xs[i], 0.0, out=xs[i])
             if idx == end:
-                x += saved
+                for a, s in zip(xs, saved):
+                    a += s
                 saved = end = None
-        if not np.all(np.isfinite(x)):
+        if not all(np.all(np.isfinite(a)) for a in xs):
             raise NonFiniteScore("non-finite activations")
-        return x
+        return xs
 
 
 def _batch_norm(x: np.ndarray, sample_var_sink: list | None) -> np.ndarray:
@@ -270,20 +304,11 @@ def instantiate(
     p_max: int = SHIFT_P_MAX,
     expansion: tuple[list[LayerDescriptor], list[BlockInfo]] | None = None,
 ) -> HybridNet:
-    """Draw He-style N(0, 2/fan_in) weights for the feature layers of a
-    genome; shift-layer weights are then snapped to signed powers of two.
-    ``expansion`` is the genome's ``expand_blocks`` result when the caller
-    has it already. The classifier head, which the expansion lists last, is
-    not drawn, so the feature weights equal those of a draw that includes it."""
+    """The scoring plan of a genome's feature layers; ``feature_forward``
+    draws their weights from ``seed``. ``expansion`` is the genome's
+    ``expand_blocks`` result when the caller has it already. The classifier
+    head, which the expansion lists last, is left out, so the feature
+    weights equal those of a draw that includes it."""
     layers_desc, blocks = expansion or expand_blocks(space, net)
-    rng = np.random.default_rng(seed)
-    layers = []
-    for d in layers_desc[:-NUM_HEAD_LAYERS]:
-        fan_in = (d.in_channels // d.groups) * d.kernel ** 2
-        shape = (d.out_channels, d.in_channels // d.groups, d.kernel, d.kernel)
-        w = rng.standard_normal(shape, dtype=np.float32)
-        w *= np.float32(np.sqrt(2.0 / fan_in))
-        if d.op_type is LayerType.SHIFT:
-            w = quantize_shift(w, p_min, p_max)
-        layers.append(HybridLayer(d, w))
-    return HybridNet(layers=layers, blocks=blocks, input_resolution=space.input_resolution)
+    return HybridNet([LayerPlan(d) for d in layers_desc[:-NUM_HEAD_LAYERS]], blocks,
+                     space.input_resolution, seed, p_min, p_max)

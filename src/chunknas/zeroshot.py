@@ -52,17 +52,6 @@ def nn_degree(layers: Sequence[LayerDescriptor], blocks: Sequence[BlockInfo]) ->
     return total
 
 
-def nn_degree_terms(out_channels: Sequence[int], in_channels: Sequence[int],
-                    residual: int) -> float:
-    """Single-block form, exposed for fixture tests."""
-    if len(out_channels) != len(in_channels) or not out_channels:
-        raise ValueError("need equal, non-empty channel lists")
-    term = sum(out_channels) / len(out_channels)
-    if residual:
-        term += residual / sum(in_channels)
-    return term
-
-
 def zen_score(
     net: HybridNet,
     alpha: float = ZEN_ALPHA,
@@ -88,8 +77,8 @@ def zen_score(
     draws = _draws(net, batch, repeats, rng)
     score = _zen_from_draws(net, draws, alpha)
     if score is None:
-        # Deep stacks of contractive layers can shrink the perturbation
-        # below float32 resolution; redo the same draws in float64.
+        # Deep stacks of contractive layers can shrink the perturbation below
+        # float32 resolution; redo the same draws (and weights) in float64.
         draws64 = [(x.astype(np.float64), e.astype(np.float64)) for x, e in draws]
         score = _zen_from_draws(net, draws64, alpha)
     if score is None:
@@ -106,13 +95,13 @@ def _draws(net: HybridNet, batch: int, repeats: int,
 
 
 def _zen_from_draws(net: HybridNet, draws, alpha: float) -> float | None:
-    """Score for fixed input draws; None when the delta underflows to zero."""
-    deltas = []
+    """Score for fixed input draws; None when the delta underflows to zero.
+    Every x and x + alpha*eps runs in one lockstep forward; x of the first
+    draw records the batch-norm statistics."""
     bn_stats: list[np.ndarray] = []
-    for r, (x, eps) in enumerate(draws):
-        y0 = net.feature_forward(x, bn_stats if r == 0 else None)
-        y1 = net.feature_forward(x + alpha * eps)
-        deltas.append(float(np.linalg.norm((y0 - y1).ravel())))
+    ys = net.feature_forward(np.stack([a for x, eps in draws for a in (x, x + alpha * eps)]),
+                             bn_stats)
+    deltas = [float(np.linalg.norm((y0 - y1).ravel())) for y0, y1 in zip(ys[::2], ys[1::2])]
     bn_term = _bn_log_term(bn_stats)
     mean_delta = float(np.mean(deltas))
     if not math.isfinite(mean_delta) or not math.isfinite(bn_term):
@@ -131,21 +120,6 @@ def _bn_log_term(sample_vars: list[np.ndarray]) -> float:
         # var has shape (batch, channels); one log term per sample.
         total += float(np.sum(0.5 * np.log(var.mean(axis=1) + BN_EPS)))
     return total
-
-
-def rank_of(value: float, population: Sequence[float]) -> int:
-    """Number of strictly greater scores; 0 means best. Ties share a rank."""
-    return sum(1 for v in population if v > value)
-
-
-def combined_score(
-    candidate: tuple[float, float],
-    population: Sequence[tuple[float, float]],
-) -> int:
-    """Rank-sum of (nn_degree, zen_score) within a population; lower is better."""
-    nn_vals = [p[0] for p in population]
-    zen_vals = [p[1] for p in population]
-    return rank_of(candidate[0], nn_vals) + rank_of(candidate[1], zen_vals)
 
 
 def combined_ranks(scores: Sequence[tuple[float, float]]) -> list[int]:

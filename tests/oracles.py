@@ -5,6 +5,8 @@ deliberately not reusing the package's forward engine or its vectorized
 dataflow sweep. The exceptions are the classifier head and the float64
 shift quantizer, which the package no longer carries: ``ref_logits`` runs
 the package's layers, and ``ref_instantiate`` draws the full classifier.
+It also holds the scalar fixture forms of the package's vector metrics
+(``nn_degree_terms``, ``rank_of``, ``combined_score``).
 """
 
 import math
@@ -22,7 +24,7 @@ from chunknas.accel import (
     LoopOrder,
     layer_latency,
 )
-from chunknas.nn import HybridLayer
+from chunknas.nn import HybridLayer, NonFiniteScore
 from chunknas.search_space import NUM_HEAD_LAYERS, LayerType, expand_blocks
 
 BN_EPS = 1e-5
@@ -202,10 +204,10 @@ class RefDraw:
     shift_codes: dict
 
 
-def ref_instantiate(net, space, seed):
+def ref_instantiate(net, space, seed, p_min=SHIFT_P_MIN, p_max=SHIFT_P_MAX):
     """He-style N(0, 2/fan_in) draws for every layer of the expansion, head
-    included, in expansion order from ``default_rng(seed)``; shift weights
-    through the float64 quantizer."""
+    included, in expansion order from ``default_rng(seed)``, all up front;
+    shift weights through the float64 quantizer."""
     descs, _ = expand_blocks(space, net)
     rng = np.random.default_rng(seed)
     layers, codes = [], {}
@@ -215,7 +217,7 @@ def ref_instantiate(net, space, seed):
         w = rng.standard_normal(shape, dtype=np.float32)
         w *= np.float32(np.sqrt(2.0 / fan_in))
         if d.op_type is LayerType.SHIFT:
-            codes[i] = ref_quantize_shift(w)
+            codes[i] = ref_quantize_shift(w, p_min, p_max)
             w = ref_shift_weight_value(*codes[i])
         layers.append(HybridLayer(d, w))
     return RefDraw(layers[:-NUM_HEAD_LAYERS], layers[-NUM_HEAD_LAYERS:], codes)
@@ -225,13 +227,14 @@ def ref_logits(net, head, x):
     """The classifier forward on an NCHW batch, as NCHW logits: every
     feature layer normalized (residual sums after the ReLU), then the
     MBPool conv, batch norm, ReLU, global average pool and the classifier,
-    all channels-last. It composes ``HybridLayer.forward`` and
+    all channels-last, on the layers of ``net.draw_layers()``. It composes
+    ``HybridLayer.forward`` and
     ``nn._batch_norm`` as looked up at call time, so a test can swap in the
     reference formulas."""
     x = x.transpose(0, 2, 3, 1)
     starts = {b.first_layer: b for b in net.blocks}
     saved = end = None
-    for idx, layer in enumerate(net.layers):
+    for idx, layer in enumerate(net.draw_layers()):
         blk = starts.get(idx)
         if blk is not None and blk.residual_channels:
             saved, end = x, blk.first_layer + blk.num_layers - 1
@@ -268,9 +271,73 @@ def zen_perturbation_term(net, alpha, batch, rng):
     res = net.input_resolution
     x = rng.standard_normal((batch, net.in_channels, res, res), dtype=np.float32)
     eps = rng.standard_normal((batch, net.in_channels, res, res), dtype=np.float32)
-    y0 = net.feature_forward(x)
-    y1 = net.feature_forward(x + alpha * eps)
+    y0, y1 = net.feature_forward(np.stack([x, x + alpha * eps]))
     return math.log(float(np.linalg.norm((y0 - y1).ravel())))
+
+
+def ref_feature_forward(layers, blocks, x, sample_var_sink=None):
+    """One NCHW batch through eagerly drawn feature layers (``RefDraw.layers``)
+    on its own: ``ref_layer_forward``, then ``ref_batch_norm`` and ReLU on
+    every layer but the last, residual sums at block ends. Returns the last
+    raw layer output, channels-last; NonFiniteScore if it is not finite."""
+    x = x.transpose(0, 2, 3, 1)
+    starts = {b.first_layer: b for b in blocks}
+    saved = end = None
+    for idx, layer in enumerate(layers):
+        blk = starts.get(idx)
+        if blk is not None and blk.residual_channels:
+            saved, end = x, blk.first_layer + blk.num_layers - 1
+        x = ref_layer_forward(layer, x)
+        if idx != len(layers) - 1:
+            x = ref_batch_norm(x, sample_var_sink)
+            np.maximum(x, 0.0, out=x)
+        if idx == end:
+            x = x + saved
+            saved = end = None
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteScore("non-finite activations")
+    return x
+
+
+def ref_zen_from_draws(layers, blocks, draws, alpha):
+    """The Zen score of fixed (x, eps) draws from two separate forwards per
+    draw, f(x) then f(x + alpha*eps), over eagerly drawn layers: log of the
+    mean ||f(x) - f(x + alpha*eps)||_F plus the batch-norm term of the first
+    draw's f(x). None when the perturbation response is exactly zero."""
+    deltas, stats = [], []
+    for r, (x, eps) in enumerate(draws):
+        y0 = ref_feature_forward(layers, blocks, x, stats if r == 0 else None)
+        y1 = ref_feature_forward(layers, blocks, x + alpha * eps)
+        deltas.append(float(np.linalg.norm((y0 - y1).ravel())))
+    bn_term = 0.0
+    for var in stats:
+        bn_term += float(np.sum(0.5 * np.log(var.mean(axis=1) + BN_EPS)))
+    mean_delta = float(np.mean(deltas))
+    if not math.isfinite(mean_delta) or not math.isfinite(bn_term):
+        raise NonFiniteScore(f"non-finite score terms ({mean_delta}, {bn_term})")
+    return math.log(mean_delta) + bn_term if mean_delta > 0 else None
+
+
+def nn_degree_terms(out_channels, in_channels, residual):
+    """One block's connectivity score: mean output channels, plus residual
+    channels over the sum of input channels when the block has a residual."""
+    if len(out_channels) != len(in_channels) or not out_channels:
+        raise ValueError("need equal, non-empty channel lists")
+    term = sum(out_channels) / len(out_channels)
+    if residual:
+        term += residual / sum(in_channels)
+    return term
+
+
+def rank_of(value, population):
+    """Number of strictly greater scores; 0 means best. Ties share a rank."""
+    return sum(1 for v in population if v > value)
+
+
+def combined_score(candidate, population):
+    """Rank-sum of (nn_degree, zen_score) within a population; lower is better."""
+    return (rank_of(candidate[0], [p[0] for p in population])
+            + rank_of(candidate[1], [p[1] for p in population]))
 
 
 def _ladder(limit):

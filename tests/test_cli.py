@@ -245,6 +245,14 @@ def test_bad_input_file_exits_2(tmp_path, capsys, argv, content):
     assert err.startswith("error: ") and str(f) in err
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exits_2(tmp_path, capsys, threads):
+    rc = main(["--threads", threads, "--output", str(tmp_path / "out"), "cosearch"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: --threads")
+    assert not (tmp_path / "out").exists()
+
+
 class TestConfigResolution:
     def test_env_override(self, tmp_path):
         doc = apply_env_overrides({}, {"CHUNKNAS_BUDGET_LUT_TOTAL": "90000"})

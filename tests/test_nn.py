@@ -1,19 +1,24 @@
 import random
 import sys
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from chunknas import nn, zeroshot
-from chunknas.nn import HybridLayer, ShapeMismatch, instantiate, quantize_shift
+from chunknas.cosearch import SearchParams, zero_shot_scores
+from chunknas.nn import HybridLayer, NonFiniteScore, ShapeMismatch, instantiate, quantize_shift
 from chunknas.search_space import (
+    NUM_HEAD_LAYERS,
     LayerDescriptor,
     LayerType,
     StageGene,
     SubNetwork,
     default_space,
+    expand_blocks,
+    largest_genome,
     sample_random,
 )
 
@@ -26,6 +31,7 @@ from oracles import (
     ref_logits,
     ref_quantize_shift,
     ref_shift_weight_value,
+    ref_zen_from_draws,
 )
 
 
@@ -211,7 +217,7 @@ class TestInstantiate:
         net = sample_random(space, random.Random(3))
         a = instantiate(net, space, seed=5)
         b = instantiate(net, space, seed=5)
-        for la, lb in zip(a.layers, b.layers):
+        for la, lb in zip(a.draw_layers(), b.draw_layers()):
             assert np.array_equal(la.weight, lb.weight)
 
     def test_shift_weights_power_of_two(self):
@@ -223,7 +229,7 @@ class TestInstantiate:
         h = instantiate(net, space, seed=0)
         ref = ref_instantiate(net, space, seed=0)
         seen_shift = False
-        for i, layer in enumerate(h.layers):
+        for i, layer in enumerate(h.draw_layers()):
             if layer.desc.op_type is LayerType.SHIFT:
                 seen_shift = True
                 sign, exp = ref.shift_codes[i]
@@ -240,8 +246,10 @@ class TestInstantiate:
             net = sample_random(space, random.Random(40 + seed))
             h = instantiate(net, space, seed=seed)
             ref = ref_instantiate(net, space, seed=seed)
+            drawn = list(h.draw_layers())
             assert [layer.desc for layer in h.layers] == [layer.desc for layer in ref.layers]
-            for got, want in zip(h.layers, ref.layers):
+            assert [layer.desc for layer in drawn] == [layer.desc for layer in ref.layers]
+            for got, want in zip(drawn, ref.layers):
                 assert got.weight.dtype == np.float32
                 assert np.array_equal(_bits(got.weight), _bits(want.weight))
 
@@ -253,7 +261,7 @@ class TestInstantiate:
         for seed in range(40):
             net = sample_random(space, random.Random(seed))
             h = instantiate(net, space, seed=seed)
-            for layer in h.layers:
+            for layer in h.draw_layers():
                 d = layer.desc
                 if (d.groups == d.in_channels and d.kernel == 3
                         and d.op_type is not LayerType.SHIFT):
@@ -266,17 +274,20 @@ class TestInstantiate:
         space = default_space()
         net = sample_random(space, random.Random(12))
         h = instantiate(net, space, seed=1)
-        x = np.random.default_rng(2).standard_normal((4, 3, 32, 32), dtype=np.float32)
+        x = np.random.default_rng(2).standard_normal((2, 4, 3, 32, 32), dtype=np.float32)
         stats = []
         out = h.feature_forward(x, stats)
-        assert out.shape[0] == 4
+        assert len(out) == 2 and out[0].shape[0] == 4
         n_feature_layers = len(h.layers)
-        assert len(stats) == n_feature_layers - 1  # no BN on the last one
+        assert len(stats) == n_feature_layers - 1  # input 0 only, no BN on the last layer
         for var in stats:
             assert var.shape[0] == 4
             assert np.all(var >= 0)
-        # The statistics live in the caller's list, not on the net.
-        assert np.array_equal(h.feature_forward(x), out)
+        # The statistics live in the caller's list, not on the net, and an
+        # input's output does not depend on the inputs beside it.
+        again = h.feature_forward(x[1::-1])
+        assert np.array_equal(again[0], out[1]) and np.array_equal(again[1], out[0])
+        assert np.array_equal(h.feature_forward(x[:1])[0], out[0])
         assert len(stats) == n_feature_layers - 1
 
     def test_full_forward_classifier_shape(self):
@@ -289,9 +300,10 @@ class TestInstantiate:
         assert logits.shape == (2, space.num_classes, 1, 1)
 
     def test_shared_net_scored_from_threads(self):
-        # Depthwise adder layers fill their padding table on first use; a
-        # net scored from several threads at once still gives the
-        # single-thread score.
+        # A net holds no per-call state (each forward draws its own
+        # layers, and depthwise adders build their padding table on the
+        # drawn layer); a net scored from several threads at once still
+        # gives the single-thread score.
         space = default_space()
         base = sample_random(space, random.Random(15))
         net = SubNetwork(base.first_conv_c, tuple(
@@ -309,12 +321,33 @@ class TestInstantiate:
             sys.setswitchinterval(interval)
         assert got == [want] * 4
 
+    def test_scoring_peak_below_half_the_feature_weights(self):
+        # Weights are drawn per layer as the forward runs, so scoring never
+        # holds a whole network: the largest genome has 31.6 MB of feature
+        # weights, and drawing them all up front peaked at 1.44 times that.
+        space = default_space()
+        net = largest_genome(space)
+        expansion = expand_blocks(space, net)
+        weight_bytes = 4 * sum(d.weight_count for d in expansion[0][:-NUM_HEAD_LAYERS])
+        params = SearchParams()
+        zero_shot_scores(net, space, params, 0, expansion)  # imports scipy
+        tracemalloc.start()
+        try:
+            _, zen = zero_shot_scores(net, space, params, 0, expansion)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert zen is not None
+        assert peak < 0.5 * weight_bytes, (peak, weight_bytes)
+
     def test_wrong_input_shape_raises(self):
         space = default_space()
         net = sample_random(space, random.Random(14))
         h = instantiate(net, space, seed=1)
         with pytest.raises(ShapeMismatch):
-            h.feature_forward(np.zeros((2, 3, 16, 16), dtype=np.float32))
+            h.feature_forward(np.zeros((2, 2, 3, 16, 16), dtype=np.float32))
+        with pytest.raises(ShapeMismatch):
+            h.feature_forward(np.zeros((2, 3, 32, 32), dtype=np.float32))
 
 
 def _layout(a):
@@ -341,9 +374,9 @@ class TestForwardParity:
         return [instantiate(g, default_space(), seed=i) for i, g in enumerate(genomes)]
 
     @pytest.fixture(scope="class")
-    def heads(self, genomes):
-        # The classifier head instantiate leaves out, from the oracle's draw.
-        return [ref_instantiate(g, default_space(), seed=i).head for i, g in enumerate(genomes)]
+    def eager(self, genomes):
+        # Every weight drawn up front, the classifier head included.
+        return [ref_instantiate(g, default_space(), seed=i) for i, g in enumerate(genomes)]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_every_layer_and_bn_output_bit_identical(self, nets, dtype):
@@ -354,7 +387,8 @@ class TestForwardParity:
         for i, h in enumerate(nets):
             x = np.random.default_rng(i).standard_normal((16, 3, 32, 32)).astype(dtype)
             x = x.transpose(0, 2, 3, 1)
-            n = len(h.layers)
+            layers = list(h.draw_layers())
+            n = len(layers)
             starts = {b.first_layer: b for b in h.blocks}
             saved = end = None
             stats, ref_stats = [], []
@@ -362,7 +396,7 @@ class TestForwardParity:
                 blk = starts.get(idx)
                 if blk is not None and blk.residual_channels:
                     saved, end = x, blk.first_layer + blk.num_layers - 1
-                layer = h.layers[idx]
+                layer = layers[idx]
                 d = layer.desc
                 kinds.add((d.op_type, d.groups == 1, d.kernel))
                 y = layer.forward(x)
@@ -384,7 +418,8 @@ class TestForwardParity:
         assert {t for t, dense, k in kinds if not dense} == set(LayerType)
         assert {t for t, dense, k in kinds if dense and k == 1} == set(LayerType)
 
-    def test_zen_score_and_logits_bit_identical(self, nets, heads, monkeypatch):
+    def test_zen_score_and_logits_bit_identical(self, nets, eager, monkeypatch):
+        heads = [e.head for e in eager]
         x = np.random.default_rng(7).standard_normal((2, 3, 32, 32), dtype=np.float32)
         got = [(zeroshot.zen_score(h, rng=np.random.default_rng(i)), ref_logits(h, head, x))
                for i, (h, head) in enumerate(zip(nets, heads))]
@@ -393,3 +428,28 @@ class TestForwardParity:
         for i, (h, head, (score, logits)) in enumerate(zip(nets, heads, got)):
             assert zeroshot.zen_score(h, rng=np.random.default_rng(i)) == score
             assert np.array_equal(ref_logits(h, head, x), logits)
+
+    @pytest.mark.parametrize("repeats", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_lockstep_zen_equals_two_passes(self, nets, eager, repeats, dtype):
+        # One lockstep forward that draws each layer as it runs, against
+        # two separate passes per draw over weights all drawn up front, on
+        # the float32 inputs and on the float64 ones of the fallback.
+        for i, (h, e) in enumerate(zip(nets[:3], eager)):
+            draws = zeroshot._draws(h, zeroshot.ZEN_BATCH, repeats, np.random.default_rng(i))
+            draws = [(x.astype(dtype), eps.astype(dtype)) for x, eps in draws]
+            want = ref_zen_from_draws(e.layers, h.blocks, draws, zeroshot.ZEN_ALPHA)
+            assert zeroshot._zen_from_draws(h, draws, zeroshot.ZEN_ALPHA) == want, i
+
+    def test_diverging_net_raises_like_two_passes(self, genomes):
+        # Shift weights of 2**127 overflow the float32 activations.
+        space = default_space()
+        g = next(g for g in genomes if any(s.t is LayerType.SHIFT for s in g.stages))
+        h = instantiate(g, space, seed=0, p_min=127, p_max=127)
+        eager = ref_instantiate(g, space, seed=0, p_min=127, p_max=127).layers
+        draws = zeroshot._draws(h, zeroshot.ZEN_BATCH, 1, np.random.default_rng(0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteScore):
+                ref_zen_from_draws(eager, h.blocks, draws, zeroshot.ZEN_ALPHA)
+            with pytest.raises(NonFiniteScore):
+                zeroshot._zen_from_draws(h, draws, zeroshot.ZEN_ALPHA)

@@ -1,12 +1,13 @@
 import math
 import random
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
 from chunknas import zeroshot
-from chunknas.nn import HybridLayer, HybridNet, NonFiniteScore, instantiate
+from chunknas.nn import HybridLayer, HybridNet, LayerPlan, NonFiniteScore, instantiate
 from chunknas.search_space import (
     LayerDescriptor,
     LayerType,
@@ -16,18 +17,26 @@ from chunknas.search_space import (
     expand_blocks,
     sample_random,
 )
-from chunknas.zeroshot import (
-    AllTied,
-    combined_ranks,
+from chunknas.zeroshot import AllTied, combined_ranks, kendall_tau, nn_degree, zen_score
+
+from oracles import (
     combined_score,
-    kendall_tau,
-    nn_degree,
     nn_degree_terms,
     rank_of,
-    zen_score,
+    ref_zen_score,
+    zen_perturbation_term,
 )
 
-from oracles import ref_zen_score, zen_perturbation_term
+
+@dataclass(frozen=True)
+class FixedWeightNet(HybridNet):
+    """A plan whose draw gives the fixture's weights."""
+
+    weights: tuple = ()
+
+    def draw_layers(self):
+        for layer, w in zip(self.layers, self.weights):
+            yield HybridLayer(layer.desc, w)
 
 
 def toy_conv_net(weights, strides, res):
@@ -36,9 +45,10 @@ def toy_conv_net(weights, strides, res):
     for wt, s in zip(weights, strides):
         co, ci, k, _ = wt.shape
         desc = LayerDescriptor(LayerType.CONV, ci, co, k, s, 1, h, w)
-        layers.append(HybridLayer(desc, wt.astype(np.float32)))
+        layers.append(LayerPlan(desc))
         h, w = desc.out_h, desc.out_w
-    return HybridNet(layers=layers, blocks=[], input_resolution=res)
+    return FixedWeightNet(layers, [], res, seed=0,
+                          weights=tuple(wt.astype(np.float32) for wt in weights))
 
 
 class TestNNDegree:
@@ -226,6 +236,7 @@ class TestCombinedScore:
         pop = [(float(a), float(b)) for a, b in rng.normal(size=(9, 2))]
         for cand in pop:
             assert 0 <= combined_score(cand, pop) <= 2 * (len(pop) - 1)
+        assert combined_ranks(pop) == [combined_score(cand, pop) for cand in pop]
 
     def test_rank_of_ties_share(self):
         assert rank_of(3.0, [3.0, 3.0, 5.0]) == 1
