@@ -38,7 +38,6 @@ from .cosearch import (
     CoSearchResult,
     SearchParams,
     coarse_search,
-    exhaustive_oracle,
     fine_search,
     search_accelerator,
 )

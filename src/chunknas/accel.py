@@ -12,13 +12,14 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Sequence
 
 import numpy as np
 
-from .search_space import LayerDescriptor, LayerType, OpCounts, _is_int, _is_number, count_ops
+from .search_space import (FINITE, NONNEG_INT, POS_FINITE, POS_INT, LayerDescriptor, LayerType,
+                           OpCounts, check_fields, count_ops, declare, dump_fields, load_fields)
 
 BRAM_BITS = 36864  # one 36 Kb block
 
@@ -153,39 +154,25 @@ class AcceleratorConfig:
 class HardwareBudget:
     """Platform resources; defaults model the Kria KV260 at 200 MHz."""
 
-    dsp_total: int = 1248
-    lut_total: int = 117_000
-    bram_bits_total: int = 288 * BRAM_BITS
-    dram_bandwidth: float = 8.0  # bytes per cycle
-    frequency_hz: float = 200e6
-    act_bits: int = 8
-    conv_w_bits: int = 8
-    shift_w_bits: int = 4
-    adder_w_bits: int = 8
-    conv_out_bits: int = 15
-    shift_out_bits: int = 15
-    adder_out_bits: int = 9
-    dsp_reserve_frac: float = 0.437  # share of DSPs granted to the conv chunk
-    lut_overhead: int = 11_000      # control/interconnect calibration constant
+    dsp_total: int = declare(POS_INT, 1248)
+    lut_total: int = declare(POS_INT, 117_000)
+    bram_bits_total: int = declare(POS_INT, 288 * BRAM_BITS)
+    dram_bandwidth: float = declare(POS_FINITE, 8.0, key="dram_bandwidth_bytes_per_cycle")
+    frequency_hz: float = declare(POS_FINITE, 200e6)
+    act_bits: int = declare(POS_INT, 8)
+    conv_w_bits: int = declare(POS_INT, 8)
+    shift_w_bits: int = declare(POS_INT, 4)
+    adder_w_bits: int = declare(POS_INT, 8)
+    conv_out_bits: int = declare(POS_INT, 15)
+    shift_out_bits: int = declare(POS_INT, 15)
+    adder_out_bits: int = declare(POS_INT, 9)
+    # Share of DSPs granted to the conv chunk; out of range it surfaces as
+    # InfeasibleBudget, so it only has to be a number.
+    dsp_reserve_frac: float = declare(FINITE, 0.437)
+    lut_overhead: int = declare(NONNEG_INT, 11_000)  # control/interconnect calibration constant
 
     def __post_init__(self):
-        # Byte widths, resources and cycle counts derive from these, so a
-        # fractional, non-positive or non-numeric value would corrupt every
-        # design instead of failing. An out-of-range dsp_reserve_frac
-        # already surfaces as InfeasibleBudget; it only has to be a number.
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.name in ("dram_bandwidth", "frequency_hz"):
-                if not (_is_number(v) and math.isfinite(v) and v > 0):
-                    raise ValueError(f"{f.name} must be a finite number > 0, got {v!r}")
-            elif f.name == "dsp_reserve_frac":
-                if not (_is_number(v) and math.isfinite(v)):
-                    raise ValueError(f"{f.name} must be a finite number, got {v!r}")
-            elif f.name == "lut_overhead":
-                if not (_is_int(v) and v >= 0):
-                    raise ValueError(f"{f.name} must be an integer >= 0, got {v!r}")
-            elif not (_is_int(v) and v > 0):
-                raise ValueError(f"{f.name} must be an integer > 0, got {v!r}")
+        check_fields(self)
 
     @property
     def gb_bytes_max(self) -> int:
@@ -210,33 +197,24 @@ class HardwareBudget:
         }[op_type]
 
     def to_dict(self) -> dict:
-        return {_BUDGET_KEYS.get(f.name, f.name): getattr(self, f.name) for f in fields(self)}
+        return dump_fields(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "HardwareBudget":
         """Missing keys keep their defaults; unknown keys are ignored."""
-        keys = {f.name: _BUDGET_KEYS.get(f.name, f.name) for f in fields(cls)}
-        return cls(**{name: d[key] for name, key in keys.items() if key in d})
-
-
-# JSON keys of HardwareBudget fields whose key spells out the unit.
-_BUDGET_KEYS = {"dram_bandwidth": "dram_bandwidth_bytes_per_cycle"}
+        return load_fields(cls, d)
 
 
 @dataclass(frozen=True)
 class EnergyCoeffs:
     """mJ per million operations."""
 
-    e_mult: float
-    e_shift: float
-    e_add: float
+    e_mult: float = declare(POS_FINITE)
+    e_shift: float = declare(POS_FINITE)
+    e_add: float = declare(POS_FINITE)
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if not (_is_number(v) and math.isfinite(v) and v > 0):
-                raise ValueError(f"energy coefficient {f.name} must be a finite number > 0, "
-                                 f"got {v!r}")
+        check_fields(self, "energy coefficient ")
         if self.e_mult <= self.e_add:
             raise ValueError("a multiplication must cost more than an addition")
 
@@ -244,11 +222,11 @@ class EnergyCoeffs:
         return self.e_mult * ops.mults + self.e_shift * ops.shifts + self.e_add * ops.adds
 
     def to_dict(self) -> dict:
-        return {"e_mult": self.e_mult, "e_shift": self.e_shift, "e_add": self.e_add}
+        return dump_fields(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "EnergyCoeffs":
-        return cls(d["e_mult"], d["e_shift"], d["e_add"])
+        return load_fields(cls, d)
 
 
 def fit_energy_coeffs(rows: Sequence[tuple[OpCounts, float]]) -> EnergyCoeffs:
@@ -270,12 +248,7 @@ def resource_usage(cfg: AcceleratorConfig, lut_overhead: int = 0) -> tuple[int, 
     fixed overhead; BRAM is reported fractionally in 36 Kb blocks.
     """
     dsp = math.ceil(DSP_PER_CONV_PE * cfg.chunk_c.pe_count)
-    lut = (
-        LUT_PER_PE[LayerType.CONV] * cfg.chunk_c.pe_count
-        + LUT_PER_PE[LayerType.SHIFT] * cfg.chunk_s.pe_count
-        + LUT_PER_PE[LayerType.ADDER] * cfg.chunk_a.pe_count
-        + lut_overhead
-    )
+    lut = chunk_lut(*(c.pe_count for c in cfg.chunks()), lut_overhead)
     bram_blocks = cfg.gb_bytes * 8 / BRAM_BITS
     return dsp, lut, bram_blocks
 
@@ -589,19 +562,12 @@ def chunk_cycle_totals(
 
 def pipeline_perf(
     layers: Sequence[LayerDescriptor],
-    assignment: Sequence[LayerType] | None,
     cfg: AcceleratorConfig,
     budget: HardwareBudget,
     coeffs: EnergyCoeffs,
 ) -> PerfReport:
     """Steady-state pipeline report: the per-image interval is the largest
     per-chunk busy time, since each chunk streams its own layer set."""
-    if assignment is not None:
-        if len(assignment) != len(layers):
-            raise ValueError("assignment length mismatch")
-        for layer, kind in zip(layers, assignment):
-            if LayerType.from_code(kind) is not layer.op_type:
-                raise ValueError("assignment must map each layer to its type's chunk")
     totals = chunk_cycle_totals(layers, cfg, budget)
     times = tuple(
         totals[k] / budget.frequency_hz

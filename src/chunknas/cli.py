@@ -22,6 +22,7 @@ from . import zeroshot
 from .config import ParseError, RunConfig, load_run_config, read_json, read_text
 from .refdata import bundled_workloads, reference_tables
 from .reproduce import (
+    check_ablation,
     check_suite,
     check_tables,
     compare_workloads,
@@ -73,7 +74,7 @@ def _prepare_output(args) -> Path:
 def _genome_flat_to_net(values, line_no: int) -> SubNetwork:
     try:
         return SubNetwork.from_flat(values)
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise ParseError(str(exc), line=line_no) from exc
 
 
@@ -314,12 +315,7 @@ def cmd_oracle_compare(args, cfg: RunConfig) -> int:
     suite = bundled_workloads() if args.workloads is None else _read_suite(args.workloads)
     comparisons = compare_workloads(suite, cfg.coeffs, node_cap=args.node_cap)
     rows = [c.to_dict() for c in comparisons]
-    ok = all(
-        c.ratio >= 0.95 and c.node_ratio >= 10
-        and (c.exact_equal or not c.equality_expected)
-        and (c.ordering_ok or not c.ordering_expected)
-        for c in comparisons
-    )
+    ok = all(check.passed for check in check_ablation(comparisons))
     if args.json:
         print(json.dumps({"passed": ok, "workloads": rows}, indent=2, sort_keys=True))
     else:

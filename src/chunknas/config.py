@@ -8,14 +8,13 @@ Units are spelled out in field names (``gb_bytes``, ``frequency_hz``).
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, field
 
-from .accel import EnergyCoeffs, HardwareBudget, _is_number, fit_energy_coeffs
+from .accel import EnergyCoeffs, HardwareBudget, fit_energy_coeffs
 from .cosearch import Constraint, SearchParams
 from .refdata import default_energy_coeffs
-from .search_space import OpCounts, SearchSpace, default_space
+from .search_space import FINITE, OpCounts, SearchSpace, check_value, default_space, seq
 
 ENV_PREFIX = "CHUNKNAS"
 
@@ -74,13 +73,9 @@ def _energy_from_dict(d: dict) -> EnergyCoeffs:
     if "coeffs" in d:
         return EnergyCoeffs.from_dict(d["coeffs"])
     if "fit_rows" in d:
-        raw = d["fit_rows"]
-        if not (isinstance(raw, list) and all(
-                isinstance(r, list) and len(r) == 4
-                and all(_is_number(v) and math.isfinite(v) for v in r) for r in raw)):
-            raise ParseError("fit_rows must be a list of [mults_m, shifts_m, adds_m, mj] "
-                             "rows of finite numbers", field_name="fit_rows")
-        return fit_energy_coeffs([(OpCounts(*r[:3]), r[3]) for r in raw])
+        # Rows of [mults_m, shifts_m, adds_m, mj].
+        rows = check_value(d["fit_rows"], seq(seq(FINITE, 4)), "fit_rows")
+        return fit_energy_coeffs([(OpCounts(*r[:3]), r[3]) for r in rows])
     raise ParseError("energy section needs 'coeffs' or 'fit_rows'", field_name="energy")
 
 
@@ -141,21 +136,19 @@ def load_run_config(
         if not isinstance(raw, dict):
             raise ParseError(f"config {path}: expected a JSON object")
         doc = raw
-    doc = apply_env_overrides(doc, environ)
-    if overrides:
-        for section, values in overrides.items():
-            doc.setdefault(section, {}).update(values)
-    # Fill defaults for sections the document omits, then validate via from_dict.
-    # The energy section is a choice (coeffs or fit_rows), not field-wise.
     base = RunConfig().to_dict()
-    for section, defaults in base.items():
-        if section == "energy":
-            doc.setdefault(section, defaults)
-            continue
-        merged = dict(defaults)
-        merged.update(doc.get(section, {}))
-        doc[section] = merged
     try:
+        for section in (s for s in base if s in doc):
+            check_value(doc[section], {}, section)  # a JSON object, before anything folds in
+        doc = apply_env_overrides(doc, environ)
+        for section, values in (overrides or {}).items():
+            doc.setdefault(section, {}).update(values)
+        # Fill defaults for sections the document omits, then validate via
+        # from_dict. The energy section is a choice (coeffs or fit_rows), not
+        # field-wise.
+        for section, defaults in base.items():
+            given = doc.get(section, defaults)
+            doc[section] = given if section == "energy" else {**defaults, **given}
         return RunConfig.from_dict(doc)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ParseError):

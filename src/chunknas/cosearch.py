@@ -16,7 +16,7 @@ import math
 import random
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,8 +35,6 @@ from .accel import (
     LUT_PER_PE,
     PerfReport,
     TileExceedsBuffer,
-    _is_int,
-    _is_number,
     chunk_lut,
     evaluate_dataflows,
     layer_latency,
@@ -46,19 +44,30 @@ from .accel import (
 )
 from .nn import NonFiniteScore, instantiate
 from .search_space import (
+    CHOICES,
+    INT,
+    NONNEG_INT,
+    POS_FINITE,
+    POS_INT,
+    PROBABILITY,
     BlockInfo,
     LayerDescriptor,
     LayerType,
     MacProfile,
     SearchSpace,
     SubNetwork,
+    check_fields,
+    check_value,
     count_macs,
     crossover,
+    declare,
+    dump_fields,
     expand,
     expand_blocks,
+    load_fields,
     mutate,
+    optional,
     sample_random,
-    validate,
 )
 
 FINETUNE_STEPS = (0.5, 0.75, 1.0, 1.5, 2.0)
@@ -322,7 +331,7 @@ def search_accelerator_layers(
     stats = SearchStats()
     stats.add(coarse.stats)
     stats.add(fine.stats)
-    report = pipeline_perf(layers, None, fine.config, budget, coeffs)
+    report = pipeline_perf(layers, fine.config, budget, coeffs)
     return AccelSearchResult(fine.config, report, stats)
 
 
@@ -332,7 +341,6 @@ def search_accelerator(
     budget: HardwareBudget,
     coeffs: EnergyCoeffs,
 ) -> tuple[AcceleratorConfig, PerfReport]:
-    validate(space, net)
     result = search_accelerator_layers(expand(space, net), budget, coeffs)
     return result.config, result.report
 
@@ -352,12 +360,7 @@ def oracle_layers(
     scan of PE triples; ``joint_space_nodes`` reports the flat space size.
     """
     by_type = split_by_type(layers)
-    grids = {}
-    for kind in _KIND_ORDER:
-        pts = sorted(set(int(p) for p in grid[kind.value]))
-        if not pts or min(pts) < 1:
-            raise ValueError(f"grid for {kind.value} must hold positive PE counts")
-        grids[kind] = pts
+    grids = {k: list(check_value(grid[k.value], CHOICES, f"grid.{k.value}")) for k in _KIND_ORDER}
     max_pe_c = int(2 * budget.usable_dsp)
     grids[LayerType.CONV] = [p for p in grids[LayerType.CONV] if p <= max_pe_c] or [1]
 
@@ -374,21 +377,8 @@ def oracle_layers(
               for kind in _KIND_ORDER}
     cfg, _ = _best_design(layers, tables, budget, stats)
     stats.joint_space_nodes = joint
-    report = pipeline_perf(layers, None, cfg, budget, coeffs)
+    report = pipeline_perf(layers, cfg, budget, coeffs)
     return AccelSearchResult(cfg, report, stats)
-
-
-def exhaustive_oracle(
-    net: SubNetwork,
-    space: SearchSpace,
-    budget: HardwareBudget,
-    coeffs: EnergyCoeffs,
-    grid: dict[str, Sequence[int]],
-    node_cap: int = DEFAULT_NODE_CAP,
-) -> tuple[AcceleratorConfig, PerfReport]:
-    validate(space, net)
-    result = oracle_layers(expand(space, net), budget, coeffs, grid, node_cap)
-    return result.config, result.report
 
 
 # ---------------------------------------------------------------------------
@@ -398,61 +388,43 @@ def exhaustive_oracle(
 
 @dataclass(frozen=True)
 class SearchParams:
-    population: int = 100
-    expand_size: int = 50
-    mutate_prob: float = 0.2
-    crossover_prob: float = 0.2
-    iterations: int = 15
-    top_k: int = 3
-    seed: int = 0
-    zen_alpha: float = zeroshot.ZEN_ALPHA
-    zen_batch: int = zeroshot.ZEN_BATCH
-    zen_repeats: int = zeroshot.ZEN_REPEATS
+    population: int = declare(POS_INT, 100)
+    expand_size: int = declare(NONNEG_INT, 50)
+    mutate_prob: float = declare(PROBABILITY, 0.2)
+    crossover_prob: float = declare(PROBABILITY, 0.2)
+    iterations: int = declare(NONNEG_INT, 15)
+    top_k: int = declare(NONNEG_INT, 3)
+    seed: int = declare(INT, 0)
+    zen_alpha: float = declare(POS_FINITE, zeroshot.ZEN_ALPHA)
+    zen_batch: int = declare(POS_INT, zeroshot.ZEN_BATCH)
+    zen_repeats: int = declare(POS_INT, zeroshot.ZEN_REPEATS)
 
     def __post_init__(self):
+        check_fields(self)
         if self.top_k > self.population:
             raise ValueError("top_k must not exceed the population size")
-        if self.population < 1 or self.expand_size < 0 or self.iterations < 0:
-            raise ValueError("population/expand/iterations must be non-negative")
-        for p in (self.mutate_prob, self.crossover_prob):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError("probabilities must lie in [0, 1]")
-        if not (_is_number(self.zen_alpha) and math.isfinite(self.zen_alpha)
-                and self.zen_alpha > 0):
-            raise ValueError(f"zen_alpha must be a finite number > 0, got {self.zen_alpha!r}")
-        if not _is_int(self.zen_batch) or self.zen_batch < 2:
+        if self.zen_batch < 2:
             raise ValueError(f"zen_batch must be an integer >= 2, got {self.zen_batch!r}")
-        if not _is_int(self.zen_repeats) or self.zen_repeats < 1:
-            raise ValueError(f"zen_repeats must be an integer >= 1, got {self.zen_repeats!r}")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dump_fields(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SearchParams":
-        defaults = cls()
-        return cls(**{k: d.get(k, getattr(defaults, k)) for k in defaults.to_dict()})
+        return load_fields(cls, d)
 
 
 @dataclass(frozen=True)
 class Constraint:
-    max_dsp: int | None = None
-    max_lut: int | None = None
-    max_latency_s: float | None = None
-    min_gops: float | None = None
+    max_dsp: int | None = declare(optional(POS_INT), None)
+    max_lut: int | None = declare(optional(POS_INT), None)
+    max_latency_s: float | None = declare(optional(POS_FINITE), None)
+    min_gops: float | None = declare(optional(POS_FINITE), None)
 
     def __post_init__(self):
+        check_fields(self)
         if self.max_dsp is None and self.max_lut is None:
             raise ValueError("at least one resource bound (max_dsp or max_lut) is required")
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if v is None:
-                continue
-            if f.name in ("max_dsp", "max_lut"):
-                if not (_is_int(v) and v > 0):
-                    raise ValueError(f"{f.name} must be an integer > 0 or null, got {v!r}")
-            elif not (_is_number(v) and math.isfinite(v) and v > 0):
-                raise ValueError(f"{f.name} must be a finite number > 0 or null, got {v!r}")
 
     def rejects(self, report: PerfReport) -> str | None:
         if self.max_dsp is not None and report.dsp > self.max_dsp:
@@ -466,24 +438,24 @@ class Constraint:
         return None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dump_fields(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Constraint":
-        return cls(**{f.name: d.get(f.name) for f in fields(cls)})
+        return load_fields(cls, d)
 
 
 def effective_budget(budget: HardwareBudget, constraint: Constraint) -> HardwareBudget:
     """Shrink platform resources to the constraint caps so the hardware
     search itself targets the allowed envelope; latency/throughput bounds
-    still filter candidates afterwards."""
+    still filter candidates afterwards. A budget that grants the conv chunk
+    no DSP share keeps its DSP total; its search ends in InfeasibleBudget."""
     d = budget.to_dict()
     if constraint.max_lut is not None:
         d["lut_total"] = min(budget.lut_total, constraint.max_lut)
-    if constraint.max_dsp is not None:
-        d["dsp_total"] = min(budget.dsp_total, math.ceil(constraint.max_dsp / budget.dsp_reserve_frac))
-    eff = HardwareBudget.from_dict(d)
-    return eff
+    if constraint.max_dsp is not None and budget.dsp_reserve_frac > 0:
+        d["dsp_total"] = math.ceil(min(constraint.max_dsp / budget.dsp_reserve_frac, budget.dsp_total))
+    return HardwareBudget.from_dict(d)
 
 
 @dataclass

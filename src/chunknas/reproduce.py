@@ -17,7 +17,8 @@ from . import cosearch as cs
 from .accel import EnergyCoeffs, HardwareBudget, chunk_lut, fit_energy_coeffs
 from .config import ParseError
 from .refdata import energy_fit_rows, op_row, row_ops
-from .search_space import LayerDescriptor, MacProfile, ops_from_macs
+from .search_space import (CHOICES, FINITE, INT, POS_FINITE, Kind, LayerDescriptor, MacProfile,
+                           check_value, ops_from_macs, seq)
 
 THROUGHPUT_TOL = 0.005
 ENERGY_TOL = 0.02
@@ -25,63 +26,54 @@ ORACLE_RATIO_MIN = 0.95
 NODE_RATIO_MIN = 10.0
 
 
-_NUM = (int, float)
+def _positive_decimal(v) -> bool:
+    try:
+        return isinstance(v, str) and POS_FINITE.ok(float(v))
+    except ValueError:
+        return False
 
-# Required keys of the two input documents, as a nested spec: a type, a
-# one-element list [item spec] for an array, or a dict {key: spec}.
+
+STR = Kind("a string", lambda v: isinstance(v, str))
+BOOL = Kind("true or false", lambda v: isinstance(v, bool))
+# Printed latencies stay strings: their last decimal place sets the tolerance.
+LATENCY = Kind("a string holding a finite number > 0", _positive_decimal)
+
+
+def _rows(row: dict) -> Kind:
+    return seq(row, min_size=0)
+
+
+# The two input documents as nested specs (see ``check_value``).
 _TABLES_SHAPE = {
-    "counting_identities": [{"name": str, "conv_macs_m": _NUM, "shift_macs_m": _NUM,
-                             "adder_macs_m": _NUM, "expected_adds_m": _NUM}],
-    "op_energy_rows": [{"dataset": str, "method": str, "group": str, "mults_m": _NUM,
-                        "shifts_m": _NUM, "adds_m": _NUM, "energy_mj": _NUM}],
-    "hw_rows": [{"dataset": str, "method": str, "latency_ms": str, "gops": _NUM,
-                 "fps": _NUM}],
-    "resource_check": {"pe_conv": int, "expected_dsp": int, "klut_band": [_NUM],
-                       "eq9_band_rows": [{"dataset": str, "method": str, "in_band": bool}]},
+    "counting_identities": _rows({"name": STR, "conv_macs_m": FINITE, "shift_macs_m": FINITE,
+                                  "adder_macs_m": FINITE, "expected_adds_m": FINITE}),
+    "op_energy_rows": _rows({"dataset": STR, "method": STR, "group": STR, "mults_m": FINITE,
+                             "shifts_m": FINITE, "adds_m": FINITE, "energy_mj": FINITE}),
+    "hw_rows": _rows({"dataset": STR, "method": STR, "latency_ms": LATENCY,
+                      "gops": POS_FINITE, "fps": POS_FINITE}),
+    "resource_check": {"pe_conv": INT, "expected_dsp": INT, "klut_band": seq(FINITE, 2),
+                       "eq9_band_rows": _rows({"dataset": STR, "method": STR, "in_band": BOOL})},
 }
 _SUITE_SHAPE = {
-    "budget": dict,
-    "grid": {"conv": [int], "shift": [int], "adder": [int]},
-    "workloads": [{"name": str, "layers": [dict]}],
+    "budget": {},
+    "grid": dict.fromkeys(("conv", "shift", "adder"), CHOICES),
+    "workloads": seq({"name": STR, "layers": seq({})}),
 }
 
 
 def _check_shape(doc, shape, where: str) -> None:
     """Raise ParseError naming the first place where ``doc`` lacks a key or
-    holds a value of the wrong JSON type."""
-    if isinstance(shape, dict):
-        if not isinstance(doc, dict):
-            raise ParseError(f"{where}: expected a JSON object")
-        for key, sub in shape.items():
-            if key not in doc:
-                raise ParseError(f"{where}: missing key {key!r}")
-            _check_shape(doc[key], sub, f"{where}.{key}")
-    elif isinstance(shape, list):
-        if not isinstance(doc, list):
-            raise ParseError(f"{where}: expected a JSON array")
-        for i, item in enumerate(doc):
-            _check_shape(item, shape[0], f"{where}[{i}]")
-    elif not isinstance(doc, shape):
-        raise ParseError(f"{where}: unexpected value {doc!r}")
+    holds a value of the wrong kind."""
+    try:
+        check_value(doc, shape, where)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def check_tables(tables, where: str) -> None:
-    """Raise ParseError unless ``tables`` is reference data whose kLUT band
-    is a pair, whose hardware rows carry positive finite latency, GOPS and
-    FPS, and whose hardware and band rows name existing op rows."""
+    """Raise ParseError unless ``tables`` is reference data of the expected
+    shape whose hardware and band rows name existing op rows."""
     _check_shape(tables, _TABLES_SHAPE, where)
-    band = tables["resource_check"]["klut_band"]
-    if len(band) != 2:
-        raise ParseError(f"{where}.resource_check.klut_band: expected [lo, hi], got {band!r}")
-    for i, row in enumerate(tables["hw_rows"]):
-        try:
-            lat = float(row["latency_ms"])
-        except ValueError:
-            lat = math.nan
-        for key, value in (("latency_ms", lat), ("gops", row["gops"]), ("fps", row["fps"])):
-            if not (math.isfinite(value) and value > 0):
-                raise ParseError(f"{where}.hw_rows[{i}].{key}: expected a positive finite "
-                                 f"number, got {row[key]!r}")
     refs = [(r["dataset"], r.get("ops_ref", r["method"])) for r in tables["hw_rows"]]
     refs += [(e["dataset"], e["method"]) for e in tables["resource_check"]["eq9_band_rows"]]
     try:
@@ -92,21 +84,16 @@ def check_tables(tables, where: str) -> None:
 
 
 def check_suite(suite, where: str) -> None:
-    """Raise ParseError unless ``suite`` is a non-empty workload suite with
-    positive grid PE counts whose budget and layers parse."""
+    """Raise ParseError unless ``suite`` is a workload suite of the expected
+    shape whose budget and layers parse."""
     _check_shape(suite, _SUITE_SHAPE, where)
-    if not suite["workloads"]:
-        raise ParseError(f"{where}: no workloads")
-    for kind, pts in suite["grid"].items():
-        if not pts or min(pts) < 1:
-            raise ParseError(f"{where}: grid for {kind} must hold positive PE counts")
     try:
         HardwareBudget.from_dict(suite["budget"])
         for wl in suite["workloads"]:
             for d in wl["layers"]:
                 LayerDescriptor.from_dict(d)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: {exc!r}") from exc
+    except ValueError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
 
 
 @dataclass

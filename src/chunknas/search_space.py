@@ -9,10 +9,11 @@ channel count, an expansion ratio, a depthwise kernel size, a layer type
 from __future__ import annotations
 
 import hashlib
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 
 class LayerType(str, Enum):
@@ -28,13 +29,12 @@ class LayerType(str, Enum):
     def from_code(cls, code: "int | str | LayerType") -> "LayerType":
         if isinstance(code, LayerType):
             return code
+        if not _is_type_code(code):
+            raise ValueError(f"layer type must be {LAYER_TYPE.what}, got {code!r}")
         if isinstance(code, int):
             return (cls.CONV, cls.SHIFT, cls.ADDER)[code]
         code = code.strip().lower()
-        aliases = {"c": cls.CONV, "s": cls.SHIFT, "a": cls.ADDER}
-        if code in aliases:
-            return aliases[code]
-        return cls(code)
+        return {"c": cls.CONV, "s": cls.SHIFT, "a": cls.ADDER}.get(code) or cls(code)
 
     @property
     def index(self) -> int:
@@ -54,6 +54,11 @@ class MembershipViolation(ValueError):
         super().__init__(f"stage {stage}: {field}={value!r} not in choice set")
 
 
+# ---------------------------------------------------------------------------
+# Input kinds: what an input field accepts, checked by one function
+# ---------------------------------------------------------------------------
+
+
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
@@ -62,37 +67,117 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _choice_tuple(values: Sequence[int], what: str) -> tuple[int, ...]:
-    values = tuple(values)
-    bad = [v for v in values if not (_is_int(v) and v > 0)]
-    if bad:
-        raise ValueError(f"{what}: choices must be integers > 0, got {bad[0]!r}")
-    out = tuple(sorted(set(values)))
-    if not out:
-        raise ValueError(f"{what}: choice set must be non-empty")
-    return out
+def _is_type_code(v) -> bool:
+    if isinstance(v, str):
+        return v.strip().lower() in ("c", "s", "a", "conv", "shift", "adder")
+    return _is_int(v) and 0 <= v <= 2
+
+
+@dataclass(frozen=True)
+class Kind:
+    """The values one input field accepts. ``ok`` tests a value, ``what``
+    names the accepted values in the error, ``norm`` maps an accepted value
+    to the stored one, and ``item`` is the spec of each element of a list."""
+
+    what: str
+    ok: Callable[[Any], bool]
+    norm: Callable[[Any], Any] = lambda v: v
+    item: Any = None
+
+
+def optional(kind: Kind) -> Kind:
+    return Kind(f"{kind.what} or null", lambda v: v is None or kind.ok(v),
+                lambda v: v if v is None else kind.norm(v))
+
+
+def seq(item, size: int | None = None, min_size: int = 1, norm=list) -> Kind:
+    """A JSON array (or tuple) of ``item`` values: exactly ``size`` of them
+    when given, else at least ``min_size``."""
+    what = f"a list of {size} values" if size else "a non-empty list" if min_size else "a list"
+    return Kind(what, lambda v: isinstance(v, (list, tuple))
+                and (len(v) == size if size else len(v) >= min_size), norm, item)
+
+
+INT = Kind("an integer", _is_int)
+POS_INT = Kind("an integer > 0", lambda v: _is_int(v) and v > 0)
+NONNEG_INT = Kind("an integer >= 0", lambda v: _is_int(v) and v >= 0)
+FINITE = Kind("a finite number", lambda v: _is_number(v) and math.isfinite(v))
+POS_FINITE = Kind("a finite number > 0", lambda v: FINITE.ok(v) and v > 0)
+PROBABILITY = Kind("a probability in [0, 1]", lambda v: _is_number(v) and 0 <= v <= 1)
+LAYER_TYPE = Kind("0/1/2 or c/s/a/conv/shift/adder", _is_type_code,
+                  lambda v: LayerType.from_code(v))
+# Choice sets: sorted without repeats; layer types keep their given order.
+CHOICES = seq(POS_INT, norm=lambda v: tuple(sorted(set(v))))
+TYPE_CHOICES = seq(LAYER_TYPE, norm=tuple)
+
+
+def check_value(value, spec, where: str):
+    """``value`` held to ``spec`` and normalised, or ValueError naming the
+    first place that fails. A spec is a Kind, or a dict {key: spec} for a
+    JSON object that must hold those keys (the result keeps only them)."""
+    if isinstance(spec, dict):
+        if not isinstance(value, dict):
+            raise ValueError(f"{where}: expected a JSON object")
+        out = {}
+        for key, sub in spec.items():
+            if key not in value:
+                raise ValueError(f"{where}: missing key {key!r}")
+            out[key] = check_value(value[key], sub, f"{where}.{key}")
+        return out
+    if not spec.ok(value):
+        raise ValueError(f"{where} must be {spec.what}, got {value!r}")
+    if spec.item is not None:
+        value = [check_value(v, spec.item, f"{where}[{i}]") for i, v in enumerate(value)]
+    return spec.norm(value)
+
+
+def declare(kind: Kind, default=MISSING, key: str | None = None):
+    """A dataclass field held to ``kind`` by ``check_fields``; ``key`` names
+    it in JSON documents and errors where that differs from the field name."""
+    return field(default=default, metadata={"kind": kind, "key": key})
+
+
+def _key(f) -> str:
+    return f.metadata.get("key") or f.name
+
+
+def check_fields(obj, prefix: str = "") -> None:
+    """Hold every declared field of a dataclass to its kind, in field order,
+    and store the normalised value; ValueError names the first that fails."""
+    for f in fields(obj):
+        if "kind" in f.metadata:
+            value = check_value(getattr(obj, f.name), f.metadata["kind"], prefix + _key(f))
+            object.__setattr__(obj, f.name, value)
+
+
+def dump_fields(obj) -> dict:
+    """The declared fields as a JSON object under their keys."""
+    return {_key(f): _jsonable(getattr(obj, f.name)) for f in fields(obj) if "kind" in f.metadata}
+
+
+def _jsonable(v):
+    return [getattr(x, "short", x) for x in v] if isinstance(v, tuple) else v
+
+
+def load_fields(cls, d: dict, **given):
+    """``cls`` from a JSON object under its declared keys: missing keys keep
+    their defaults, unknown keys are ignored, ``given`` fields win."""
+    return cls(**{**{f.name: d[_key(f)] for f in fields(cls) if _key(f) in d}, **given})
 
 
 @dataclass(frozen=True)
 class StageSpec:
     """Choice sets for one stage; ``stride`` applies to the stage's first block."""
 
-    channel_choices: tuple[int, ...]
-    expansion_choices: tuple[int, ...]
-    kernel_choices: tuple[int, ...]
-    type_choices: tuple[LayerType, ...]
-    depth_choices: tuple[int, ...]
-    stride: int = 1
+    channel_choices: tuple[int, ...] = declare(CHOICES, key="channels")
+    expansion_choices: tuple[int, ...] = declare(CHOICES, key="expansions")
+    kernel_choices: tuple[int, ...] = declare(CHOICES, key="kernels")
+    type_choices: tuple[LayerType, ...] = declare(TYPE_CHOICES, key="types")
+    depth_choices: tuple[int, ...] = declare(CHOICES, key="depths")
+    stride: int = declare(POS_INT, 1)
 
     def __post_init__(self):
-        object.__setattr__(self, "channel_choices", _choice_tuple(self.channel_choices, "channels"))
-        object.__setattr__(self, "expansion_choices", _choice_tuple(self.expansion_choices, "expansions"))
-        object.__setattr__(self, "kernel_choices", _choice_tuple(self.kernel_choices, "kernels"))
-        object.__setattr__(self, "depth_choices", _choice_tuple(self.depth_choices, "depths"))
-        types = tuple(LayerType.from_code(t) for t in self.type_choices)
-        if not types:
-            raise ValueError("type_choices must be non-empty")
-        object.__setattr__(self, "type_choices", types)
+        check_fields(self)
         if not set(self.kernel_choices) <= {3, 5}:
             raise ValueError(f"kernel choices must be within {{3, 5}}, got {self.kernel_choices}")
         if self.stride not in (1, 2):
@@ -106,67 +191,31 @@ DEFAULT_STAGE_STRIDES = (1, 2, 2, 2, 1, 2, 1)
 @dataclass(frozen=True)
 class SearchSpace:
     stages: tuple[StageSpec, ...]
-    first_conv_channels: tuple[int, ...]
-    mbpool_channels: tuple[int, ...]
-    input_resolution: int = 32
-    num_classes: int = 10
-    stem_kernel: int = 3
-    stem_stride: int = 2
+    first_conv_channels: tuple[int, ...] = declare(CHOICES)
+    mbpool_channels: tuple[int, ...] = declare(CHOICES)
+    input_resolution: int = declare(POS_INT, 32)
+    num_classes: int = declare(POS_INT, 10)
+    stem_kernel: int = declare(POS_INT, 3)
+    stem_stride: int = declare(POS_INT, 2)
 
     def __post_init__(self):
         object.__setattr__(self, "stages", tuple(self.stages))
-        object.__setattr__(self, "first_conv_channels", _choice_tuple(self.first_conv_channels, "stem channels"))
-        object.__setattr__(self, "mbpool_channels", _choice_tuple(self.mbpool_channels, "head channels"))
         if len(self.stages) != 7:
             raise ValueError(f"expected 7 stages, got {len(self.stages)}")
-        for name in ("input_resolution", "num_classes", "stem_kernel", "stem_stride"):
-            v = getattr(self, name)
-            if not (_is_int(v) and v > 0):
-                raise ValueError(f"{name} must be an integer > 0, got {v!r}")
+        check_fields(self)
 
     def to_dict(self) -> dict:
-        return {
-            "first_conv_channels": list(self.first_conv_channels),
-            "mbpool_channels": list(self.mbpool_channels),
-            "input_resolution": self.input_resolution,
-            "num_classes": self.num_classes,
-            "stem_kernel": self.stem_kernel,
-            "stem_stride": self.stem_stride,
-            "stages": [
-                {
-                    "channels": list(s.channel_choices),
-                    "expansions": list(s.expansion_choices),
-                    "kernels": list(s.kernel_choices),
-                    "types": [t.short for t in s.type_choices],
-                    "depths": list(s.depth_choices),
-                    "stride": s.stride,
-                }
-                for s in self.stages
-            ],
-        }
+        return {**dump_fields(self), "stages": [dump_fields(s) for s in self.stages]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SearchSpace":
-        stages = tuple(
-            StageSpec(
-                channel_choices=tuple(s["channels"]),
-                expansion_choices=tuple(s["expansions"]),
-                kernel_choices=tuple(s["kernels"]),
-                type_choices=tuple(LayerType.from_code(t) for t in s["types"]),
-                depth_choices=tuple(s["depths"]),
-                stride=s.get("stride", 1),
-            )
-            for s in d["stages"]
-        )
-        return cls(
-            stages=stages,
-            first_conv_channels=tuple(d["first_conv_channels"]),
-            mbpool_channels=tuple(d["mbpool_channels"]),
-            input_resolution=d.get("input_resolution", 32),
-            num_classes=d.get("num_classes", 10),
-            stem_kernel=d.get("stem_kernel", 3),
-            stem_stride=d.get("stem_stride", 2),
-        )
+        stages = []
+        for i, s in enumerate(d["stages"]):
+            try:
+                stages.append(load_fields(StageSpec, s))
+            except ValueError as exc:
+                raise ValueError(f"stages[{i}]: {exc}") from exc
+        return load_fields(cls, d, stages=stages)
 
 
 @dataclass(frozen=True)
@@ -188,11 +237,7 @@ class SubNetwork:
 
     def to_flat(self) -> tuple[int, ...]:
         """Flat integer record (layer types encoded as 0=C, 1=S, 2=A)."""
-        vals = [self.first_conv_c]
-        for g in self.stages:
-            vals.extend((g.c, g.e, g.k, g.t.index, g.n))
-        vals.append(self.mbpool_c)
-        return tuple(vals)
+        return tuple(v.index if isinstance(v, LayerType) else v for v in _values(self))
 
     @classmethod
     def from_flat(cls, vals: Sequence[int]) -> "SubNetwork":
@@ -271,16 +316,14 @@ class LayerDescriptor:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LayerDescriptor":
-        return cls(
-            op_type=LayerType.from_code(d["op_type"]),
-            in_channels=d["in_channels"],
-            out_channels=d["out_channels"],
-            kernel=d["kernel"],
-            stride=d["stride"],
-            groups=d.get("groups", 1),
-            in_h=d["in_h"],
-            in_w=d["in_w"],
-        )
+        """A layer from a JSON object (``groups`` defaults to 1). Its values
+        are checked here, not in ``__post_init__``, which every layer that
+        ``expand_blocks`` builds runs."""
+        return cls(**check_value({"groups": 1, **d}, _LAYER_KEYS, "layer"))
+
+
+_LAYER_KEYS = {"op_type": LAYER_TYPE, **dict.fromkeys(
+    ("in_channels", "out_channels", "kernel", "stride", "groups", "in_h", "in_w"), POS_INT)}
 
 
 @dataclass(frozen=True)
@@ -360,31 +403,11 @@ def default_space(input_resolution: int = 32, num_classes: int = 10) -> SearchSp
 
 def validate(space: SearchSpace, net: SubNetwork) -> None:
     """Raise MembershipViolation at the first genome field outside its choice set."""
-    if net.first_conv_c not in space.first_conv_channels:
-        raise MembershipViolation(0, "first_conv", net.first_conv_c)
     if len(net.stages) != len(space.stages):
         raise MembershipViolation(0, "stage_count", len(net.stages))
-    for i, (gene, spec) in enumerate(zip(net.stages, space.stages), start=1):
-        if gene.c not in spec.channel_choices:
-            raise MembershipViolation(i, "channels", gene.c)
-        if gene.e not in spec.expansion_choices:
-            raise MembershipViolation(i, "expansion", gene.e)
-        if gene.k not in spec.kernel_choices:
-            raise MembershipViolation(i, "kernel", gene.k)
-        if gene.t not in spec.type_choices:
-            raise MembershipViolation(i, "type", gene.t)
-        if gene.n not in spec.depth_choices or gene.n < 1:
-            raise MembershipViolation(i, "depth", gene.n)
-    if net.mbpool_c not in space.mbpool_channels:
-        raise MembershipViolation(8, "mbpool", net.mbpool_c)
-
-
-def is_valid(space: SearchSpace, net: SubNetwork) -> bool:
-    try:
-        validate(space, net)
-    except MembershipViolation:
-        return False
-    return True
+    for value, (stage, name, choices) in zip(_values(net), _fields(space)):
+        if value not in choices:
+            raise MembershipViolation(stage, name, value)
 
 
 def expand_blocks(space: SearchSpace, net: SubNetwork) -> tuple[list[LayerDescriptor], list[BlockInfo]]:
@@ -474,6 +497,15 @@ def _fields(space: SearchSpace) -> Iterator[tuple[int, str, tuple]]:
     yield 8, "mbpool", space.mbpool_channels
 
 
+def _values(net: SubNetwork) -> list:
+    """Genome values in the order of ``_fields``."""
+    values = [net.first_conv_c]
+    for g in net.stages:
+        values += (g.c, g.e, g.k, g.t, g.n)
+    values.append(net.mbpool_c)
+    return values
+
+
 def _assemble(space: SearchSpace, values: list) -> SubNetwork:
     stages = tuple(
         StageGene(*values[1 + 5 * i : 6 + 5 * i]) for i in range(len(space.stages))
@@ -491,12 +523,8 @@ def mutate(space: SearchSpace, net: SubNetwork, prob: float, rng: random.Random)
     value whenever the choice set has an alternative."""
     if not 0.0 <= prob <= 1.0:
         raise ValueError(f"mutation probability must be in [0, 1], got {prob}")
-    values = [net.first_conv_c]
-    for g in net.stages:
-        values.extend((g.c, g.e, g.k, g.t, g.n))
-    values.append(net.mbpool_c)
     out = []
-    for value, (_, _, choices) in zip(values, _fields(space)):
+    for value, (_, _, choices) in zip(_values(net), _fields(space)):
         if rng.random() < prob and len(choices) > 1:
             alternatives = [c for c in choices if c != value]
             value = rng.choice(alternatives)
@@ -506,22 +534,8 @@ def mutate(space: SearchSpace, net: SubNetwork, prob: float, rng: random.Random)
 
 def crossover(space: SearchSpace, a: SubNetwork, b: SubNetwork, rng: random.Random) -> SubNetwork:
     """Uniform crossover: each field inherited from either parent with prob 1/2."""
-    av = [a.first_conv_c]
-    bv = [b.first_conv_c]
-    for g in a.stages:
-        av.extend((g.c, g.e, g.k, g.t, g.n))
-    for g in b.stages:
-        bv.extend((g.c, g.e, g.k, g.t, g.n))
-    av.append(a.mbpool_c)
-    bv.append(b.mbpool_c)
-    out = [x if rng.random() < 0.5 else y for x, y in zip(av, bv)]
+    out = [x if rng.random() < 0.5 else y for x, y in zip(_values(a), _values(b))]
     return _assemble(space, out)
-
-
-def smallest_genome(space: SearchSpace) -> SubNetwork:
-    values = [min(choices) if not isinstance(choices[0], LayerType) else choices[0]
-              for _, _, choices in _fields(space)]
-    return _assemble(space, values)
 
 
 def largest_genome(space: SearchSpace) -> SubNetwork:

@@ -6,7 +6,9 @@ dataflow sweep. The exceptions are the classifier head and the float64
 shift quantizer, which the package no longer carries: ``ref_logits`` runs
 the package's layers, and ``ref_instantiate`` draws the full classifier.
 It also holds the scalar fixture forms of the package's vector metrics
-(``nn_degree_terms``, ``rank_of``, ``combined_score``).
+(``nn_degree_terms``, ``rank_of``, ``combined_score``) and genome-level
+wrappers only the tests use (``is_valid``, ``smallest_genome``,
+``exhaustive_oracle``).
 """
 
 import math
@@ -24,8 +26,18 @@ from chunknas.accel import (
     LoopOrder,
     layer_latency,
 )
+from chunknas.cosearch import DEFAULT_NODE_CAP, oracle_layers
 from chunknas.nn import HybridLayer, NonFiniteScore
-from chunknas.search_space import NUM_HEAD_LAYERS, LayerType, expand_blocks
+from chunknas.search_space import (
+    NUM_HEAD_LAYERS,
+    LayerType,
+    MembershipViolation,
+    _assemble,
+    _fields,
+    expand,
+    expand_blocks,
+    validate,
+)
 
 BN_EPS = 1e-5
 SHIFT_P_MIN = -6
@@ -338,6 +350,27 @@ def combined_score(candidate, population):
     """Rank-sum of (nn_degree, zen_score) within a population; lower is better."""
     return (rank_of(candidate[0], [p[0] for p in population])
             + rank_of(candidate[1], [p[1] for p in population]))
+
+
+def is_valid(space, net):
+    try:
+        validate(space, net)
+    except MembershipViolation:
+        return False
+    return True
+
+
+def smallest_genome(space):
+    """Smallest choice of every numeric field, first listed layer type."""
+    values = [min(choices) if not isinstance(choices[0], LayerType) else choices[0]
+              for _, _, choices in _fields(space)]
+    return _assemble(space, values)
+
+
+def exhaustive_oracle(net, space, budget, coeffs, grid, node_cap=DEFAULT_NODE_CAP):
+    """``oracle_layers`` on a genome's expansion: (config, report)."""
+    result = oracle_layers(expand(space, net), budget, coeffs, grid, node_cap)
+    return result.config, result.report
 
 
 def _ladder(limit):

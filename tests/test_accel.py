@@ -227,11 +227,11 @@ class TestMinGbSize:
         budget = HardwareBudget()
         need = min_gb_size(cfg, layers, budget)
         shrunk = AcceleratorConfig(cfg.chunk_c, cfg.chunk_s, cfg.chunk_a, need)
-        pipeline_perf(layers, None, shrunk, budget, EnergyCoeffs(5e-3, 7e-4, 7e-4))
+        pipeline_perf(layers, shrunk, budget, EnergyCoeffs(5e-3, 7e-4, 7e-4))
         # One byte less must fail for the binding layer.
         too_small = AcceleratorConfig(cfg.chunk_c, cfg.chunk_s, cfg.chunk_a, need - 1)
         with pytest.raises(TileExceedsBuffer):
-            pipeline_perf(layers, None, too_small, budget, EnergyCoeffs(5e-3, 7e-4, 7e-4))
+            pipeline_perf(layers, too_small, budget, EnergyCoeffs(5e-3, 7e-4, 7e-4))
 
     def test_small_tile_working_set(self):
         # All tiles of size one on a 1x1 conv layer: double-buffered
@@ -265,7 +265,7 @@ class TestPipelinePerf:
         cfg = make_config(pe_c=64, pe_s=32, pe_a=32)
         budget = HardwareBudget()
         coeffs = EnergyCoeffs(5.28e-3, 7.2e-4, 7.2e-4)
-        report = pipeline_perf(layers, None, cfg, budget, coeffs)
+        report = pipeline_perf(layers, cfg, budget, coeffs)
         total_ops = report.ops.total * 1e6
         assert report.throughput_gops * report.latency_s * 1e9 == pytest.approx(total_ops)
         assert report.fps * report.latency_s == pytest.approx(1.0)
@@ -286,21 +286,6 @@ class TestPipelinePerf:
         # 157.24 M ops at 0.44 ms -> 357.4 GOPS; 194.26 M at 0.63 ms -> 308.3.
         assert 157.24e6 / 0.44e-3 / 1e9 == pytest.approx(357.4, abs=0.05)
         assert 194.26e6 / 0.63e-3 / 1e9 == pytest.approx(308.3, abs=0.05)
-
-    def test_assignment_validation(self):
-        layers = self._simple_workload()
-        cfg = make_config()
-        with pytest.raises(ValueError):
-            pipeline_perf(layers, [LayerType.CONV] * 3, cfg, HardwareBudget(),
-                          EnergyCoeffs(5e-3, 7e-4, 7e-4))
-
-    def test_matching_assignment_accepted(self):
-        layers = self._simple_workload()
-        cfg = make_config()
-        assignment = [l.op_type for l in layers]
-        report = pipeline_perf(layers, assignment, cfg, HardwareBudget(),
-                               EnergyCoeffs(5e-3, 7e-4, 7e-4))
-        report.validate()
 
 
 class TestEnergyFit:

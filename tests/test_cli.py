@@ -186,11 +186,20 @@ class TestReproduceTables:
 
 
 class TestOracleCompareCmd:
-    def test_bundled_suite_passes(self, tmp_path):
+    def test_bundled_suite_passes(self, tmp_path, capsys):
         out = tmp_path / "cmp"
         rc = main(["--output", str(out), "oracle-compare"])
         assert rc == 0
         assert (out / "comparison.csv").exists()
+        assert capsys.readouterr().out.rstrip().endswith("PASS")
+        # A one-PE-per-chunk oracle grid spans fewer than 10x the search's
+        # nodes, so the same gate as reproduce-tables' oracle-ratio fails.
+        suite = tmp_path / "small_grid.json"
+        suite.write_text(json.dumps({**bundled_workloads(),
+                                     "grid": {"conv": [1], "shift": [1], "adder": [1]}}))
+        rc = main(["--output", str(tmp_path / "cmp2"), "oracle-compare", "--workloads", str(suite)])
+        assert rc == 1
+        assert capsys.readouterr().out.rstrip().endswith("FAIL")
 
 
 SUITE_HEAD = '{"budget": {}, "grid": {"conv": [8], "shift": [1], "adder": [1]}, "workloads": '
@@ -245,12 +254,34 @@ def test_bad_input_file_exits_2(tmp_path, capsys, argv, content):
     assert err.startswith("error: ") and str(f) in err
 
 
+LAYER = {"op_type": "conv", "in_channels": 4, "out_channels": 4, "kernel": 3, "stride": 1,
+         "groups": 1, "in_h": 8, "in_w": 8}
+
+
+@pytest.mark.parametrize("key,value", [
+    ("op_type", 5), ("stride", 0), ("groups", 0), ("kernel", 0), ("kernel", 2.5),
+    ("in_h", -4), ("in_w", True),
+])
+def test_bad_workload_layer_exits_2(tmp_path, capsys, key, value):
+    # Once a traceback (op_type 5, stride 0, groups 0) or a PASS on a layer
+    # that does not exist (the others).
+    f = tmp_path / "suite.json"
+    f.write_text(SUITE_HEAD + json.dumps([{"name": "w", "layers": [{**LAYER, key: value}]}]) + "}")
+    rc = main(["--output", str(tmp_path / "out"), "oracle-compare", "--workloads", str(f)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(f) in err and key in err
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_exits_2(tmp_path, capsys, threads):
     rc = main(["--threads", threads, "--output", str(tmp_path / "out"), "cosearch"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: --threads")
     assert not (tmp_path / "out").exists()
+
+
+STAGES_WITH_TYPE_5 = [{**s, "types": [5]} for s in default_space().to_dict()["stages"]]
 
 
 class TestConfigResolution:
@@ -281,7 +312,8 @@ class TestConfigResolution:
 
     @pytest.mark.parametrize("name,raw", [
         ("ZEN_BATCH", "1"), ("ZEN_BATCH", "2.5"), ("ZEN_ALPHA", "0"), ("ZEN_ALPHA", '"x"'),
-        ("ZEN_ALPHA", "NaN"), ("ZEN_REPEATS", "0"),
+        ("ZEN_ALPHA", "NaN"), ("ZEN_REPEATS", "0"), ("ITERATIONS", "1.5"),
+        ("POPULATION", "4.5"), ("EXPAND_SIZE", "2.5"), ("SEED", '"x"'),
     ])
     def test_bad_zen_params_exit_2(self, monkeypatch, capsys, tmp_path, name, raw):
         monkeypatch.setenv(f"CHUNKNAS_PARAMS_{name}", raw)
@@ -319,6 +351,8 @@ class TestConfigResolution:
         ("CONSTRAINT_MIN_GOPS", "-1", "cosearch"), ("CONSTRAINT_MIN_GOPS", "true", "cosearch"),
         ("SPACE_STEM_STRIDE", "0", "search-accel"), ("SPACE_INPUT_RESOLUTION", '"x"', "search-accel"),
         ("SPACE_NUM_CLASSES", "2.5", "search-accel"), ("SPACE_STEM_KERNEL", "null", "search-accel"),
+        pytest.param("SPACE_STAGES", json.dumps(STAGES_WITH_TYPE_5), "search-accel",
+                     id="SPACE_STAGES-types-5"),
     ])
     def test_bad_energy_constraint_or_space_exit_2(self, monkeypatch, capsys, tmp_path,
                                                    name, raw, command):
@@ -332,6 +366,15 @@ class TestConfigResolution:
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
+
+    @pytest.mark.parametrize("section", ["budget", "energy"])
+    def test_section_not_an_object_exits_2(self, tmp_path, capsys, section):
+        # Once a TypeError traceback for the budget.
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({section: 5}))
+        rc = main(["--config", str(cfg), "--output", str(tmp_path / "o"), "cosearch", "--dry-run"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: invalid config: {section}: ")
 
     def test_genome_file_comments_and_blanks(self, tmp_path):
         f = tmp_path / "g.txt"

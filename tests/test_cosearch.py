@@ -24,7 +24,6 @@ from chunknas.cosearch import (
     derive_seeds,
     effective_budget,
     eq9_pe_init,
-    exhaustive_oracle,
     fine_search,
     manual_dataflow,
     max_conv_pes,
@@ -43,7 +42,6 @@ from chunknas.search_space import (
     count_macs,
     default_space,
     expand,
-    is_valid,
     sample_random,
     validate,
 )
@@ -296,6 +294,8 @@ class TestOracle:
         )
 
     def test_genome_wrapper(self):
+        from oracles import exhaustive_oracle  # not at import: oracles loads scipy
+
         space = tiny_space()
         net = sample_random(space, random.Random(2))
         cfg, report = exhaustive_oracle(
@@ -383,6 +383,8 @@ class TestCosearch:
             cosearch(space, budget, constraint, params, COEFFS)
 
     def test_entries_sorted_and_valid(self):
+        from oracles import is_valid  # not at import: oracles loads scipy
+
         space, budget, constraint, params = self._setup()
         res = cosearch(space, budget, constraint, params, COEFFS)
         ranks = [e.score.combined_rank for e in res.entries]

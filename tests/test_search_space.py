@@ -15,14 +15,14 @@ from chunknas.search_space import (
     default_space,
     expand,
     expand_blocks,
-    is_valid,
     largest_genome,
     mutate,
     ops_from_macs,
     sample_random,
-    smallest_genome,
     validate,
 )
+
+from oracles import is_valid, smallest_genome
 
 
 @pytest.fixture(scope="module")
