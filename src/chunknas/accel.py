@@ -419,7 +419,6 @@ class ChunkEval:
 
     dataflow: Dataflow
     cycles: int
-    min_gb: int
     nodes: int
     feasible_dataflows: int
 
@@ -459,7 +458,7 @@ def evaluate_dataflows(
     """
     pes = list(pe_counts)
     if not layers:
-        return DataflowTable({pe: ChunkEval(Dataflow(LoopOrder.WS, (1, 1, 1, 1, 1)), 0, 0, 1, 4)
+        return DataflowTable({pe: ChunkEval(Dataflow(LoopOrder.WS, (1, 1, 1, 1, 1)), 0, 1, 4)
                               for pe in pes})
     for layer in layers:
         if layer.op_type is not kind:
@@ -492,7 +491,6 @@ def evaluate_dataflows(
         evals[pe] = ChunkEval(
             dataflow=Dataflow(LoopOrder(int(order[pick])), tuple(arr[tile[pick]])),
             cycles=int(best),
-            min_gb=math.ceil(ws_max[tile[pick]]),
             nodes=4 * a,
             feasible_dataflows=n_feasible,
         )

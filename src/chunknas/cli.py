@@ -19,6 +19,7 @@ from pathlib import Path
 
 from . import cosearch as cs
 from . import zeroshot
+from .accel import EmptyFeasibleSet, InfeasibleBudget, TileExceedsBuffer
 from .config import ParseError, RunConfig, load_run_config, read_json, read_text
 from .refdata import bundled_workloads, reference_tables
 from .reproduce import (
@@ -28,7 +29,16 @@ from .reproduce import (
     compare_workloads,
     run_reference_checks,
 )
-from .search_space import MembershipViolation, SubNetwork, expand_blocks, validate
+from .search_space import (
+    POS_FINITE,
+    POS_INT,
+    MembershipViolation,
+    SubNetwork,
+    check_value,
+    expand_blocks,
+    sample_random,
+    validate,
+)
 
 PERF_CSV_COLUMNS = [
     "genome", "klut", "klut_pct", "dsp", "dsp_pct", "bram_blocks", "bram_pct",
@@ -37,6 +47,20 @@ PERF_CSV_COLUMNS = [
 ]
 
 SCORE_CSV_COLUMNS = ["genome_id", "genome", "nn_degree", "zen_score", "combined_rank"]
+
+# Declared kind of each numeric flag (argparse dest); an unset flag is not checked.
+FLAG_KINDS = {"threads": POS_INT, "node_cap": POS_FINITE, "random": POS_INT}
+
+# Exit code and message prefix of each typed failure; any other exception is a bug.
+EXIT_CODES = {
+    ParseError: (2, ""),
+    MembershipViolation: (2, "invalid genome: "),
+    cs.GridTooLarge: (3, ""),
+    cs.EmptyPopulation: (4, ""),
+    InfeasibleBudget: (5, ""),
+    EmptyFeasibleSet: (5, ""),
+    TileExceedsBuffer: (5, ""),
+}
 
 
 def _fmt(value) -> str:
@@ -141,15 +165,11 @@ def cmd_score(args, cfg: RunConfig) -> int:
 
     if args.genomes:
         nets = read_genome_file(args.genomes)
-    elif args.random:
-        rng = random.Random(args.seed)
-        from .search_space import sample_random
-
-        nets = [sample_random(cfg.space, rng) for _ in range(args.random)]
     else:
-        raise SystemExit("score: need --genomes FILE or --random N")
+        rng = random.Random(cfg.params.seed)
+        nets = [sample_random(cfg.space, rng) for _ in range(args.random)]
     expansions = [expand_blocks(cfg.space, net) for net in nets]
-    scores = [cs.zero_shot_scores(net, cfg.space, cfg.params, args.seed, expansion)
+    scores = [cs.zero_shot_scores(net, cfg.space, cfg.params, expansion)
               for net, expansion in zip(nets, expansions)]
     rows = [
         {"genome_id": f"{net.digest():016x}", "genome": _genome_str(net),
@@ -197,10 +217,8 @@ def cmd_kendall(args, cfg: RunConfig) -> int:
 def cmd_search_accel(args, cfg: RunConfig) -> int:
     if args.genome:
         net = _parse_genome_text(args.genome)
-    elif args.genomes:
-        net = read_genome_file(args.genomes)[0]
     else:
-        raise SystemExit("search-accel: need --genome FLAT or --genomes FILE")
+        net = read_genome_file(args.genomes)[0]
     validate(cfg.space, net)
     accel_cfg, report = cs.search_accelerator(net, cfg.space, cfg.budget, cfg.coeffs)
     out = _prepare_output(args)
@@ -221,24 +239,16 @@ def cmd_search_accel(args, cfg: RunConfig) -> int:
 
 
 def cmd_cosearch(args, cfg: RunConfig) -> int:
-    params = cfg.params
-    if args.seed is not None and args.seed != params.seed:
-        params = cs.SearchParams.from_dict({**params.to_dict(), "seed": args.seed})
     if args.dry_run:
-        print(json.dumps(RunConfig(space=cfg.space, budget=cfg.budget,
-                                   constraint=cfg.constraint, params=params,
-                                   coeffs=cfg.coeffs).to_dict(),
-                         indent=2, sort_keys=True))
+        print(json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
         return 0
     out = _prepare_output(args)
     progress = None if args.json else (lambda msg: print(msg, file=sys.stderr))
     result = cs.cosearch(
-        cfg.space, cfg.budget, cfg.constraint, params, cfg.coeffs,
+        cfg.space, cfg.budget, cfg.constraint, cfg.params, cfg.coeffs,
         threads=args.threads, progress=progress,
     )
-    resolved = RunConfig(space=cfg.space, budget=cfg.budget,
-                         constraint=cfg.constraint, params=params, coeffs=cfg.coeffs)
-    _write_json(out / "run_config.json", resolved.to_dict())
+    _write_json(out / "run_config.json", cfg.to_dict())
     _write_json(out / "result.json", {
         "entries": [r.to_dict() for r in result.entries],
         "evaluations": result.evaluations,
@@ -354,8 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("score", help="zero-shot scores for genomes")
-    p.add_argument("--genomes", help="file with one flat genome per line")
-    p.add_argument("--random", type=int, default=0, help="score N random genomes")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--genomes", help="file with one flat genome per line")
+    source.add_argument("--random", type=int, help="score N random genomes")
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("kendall", help="rank correlation of a two-column CSV")
@@ -363,8 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_kendall)
 
     p = sub.add_parser("search-accel", help="coarse-to-fine accelerator search")
-    p.add_argument("--genome", help="flat genome record, e.g. 16-24-4-3-0-3-...")
-    p.add_argument("--genomes", help="file with a flat genome on the first line")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--genome", help="flat genome record, e.g. 16-24-4-3-0-3-...")
+    source.add_argument("--genomes", help="file with a flat genome on the first line")
     p.set_defaults(func=cmd_search_accel)
 
     p = sub.add_parser("cosearch", help="evolutionary network/accelerator co-search")
@@ -390,40 +402,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads < 1:
-        print(f"error: --threads must be at least 1, got {args.threads}", file=sys.stderr)
-        return 2
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
-        cfg = load_run_config(args.config)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    # Flag beats config; config (params.seed) beats the built-in default.
-    if args.seed is None:
-        args.seed = cfg.params.seed
-    try:
-        return args.func(args, cfg)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MembershipViolation as exc:
-        print(f"error: invalid genome: {exc}", file=sys.stderr)
-        return 2
-    except cs.GridTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except cs.EmptyPopulation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except Exception as exc:  # InfeasibleBudget and friends
-        from .accel import EmptyFeasibleSet, InfeasibleBudget, TileExceedsBuffer
-
-        if isinstance(exc, (InfeasibleBudget, EmptyFeasibleSet, TileExceedsBuffer)):
-            print(f"error: {exc}", file=sys.stderr)
-            return 5
-        raise
+        for name, kind in FLAG_KINDS.items():
+            if getattr(args, name, None) is not None:
+                try:
+                    check_value(getattr(args, name), kind, "--" + name.replace("_", "-"))
+                except ValueError as exc:
+                    raise ParseError(str(exc)) from exc
+        # Flag beats config; config (params.seed) beats the built-in default.
+        seed = None if args.seed is None else {"params": {"seed": args.seed}}
+        return args.func(args, load_run_config(args.config, overrides=seed))
+    except tuple(EXIT_CODES) as exc:
+        code, prefix = next(v for t, v in EXIT_CODES.items() if isinstance(exc, t))
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -129,7 +129,9 @@ def load_run_config(
     environ: dict | None = None,
     overrides: dict | None = None,
 ) -> RunConfig:
-    """defaults < config file < environment < explicit overrides."""
+    """defaults < config file < environment < explicit overrides. Every
+    value the file or the environment gives is checked, also one that an
+    override replaces."""
     doc: dict = {}
     if path is not None:
         raw = read_json(path, "config")
@@ -141,14 +143,17 @@ def load_run_config(
         for section in (s for s in base if s in doc):
             check_value(doc[section], {}, section)  # a JSON object, before anything folds in
         doc = apply_env_overrides(doc, environ)
-        for section, values in (overrides or {}).items():
-            doc.setdefault(section, {}).update(values)
         # Fill defaults for sections the document omits, then validate via
         # from_dict. The energy section is a choice (coeffs or fit_rows), not
         # field-wise.
         for section, defaults in base.items():
             given = doc.get(section, defaults)
             doc[section] = given if section == "energy" else {**defaults, **given}
+        cfg = RunConfig.from_dict(doc)
+        if not overrides:
+            return cfg
+        for section, values in overrides.items():
+            doc[section] = {**doc[section], **values}
         return RunConfig.from_dict(doc)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ParseError):

@@ -17,6 +17,7 @@ import random
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -91,15 +92,11 @@ class EmptyPopulation(RuntimeError):
 @dataclass
 class SearchStats:
     """Node accounting. ``evaluated_nodes`` counts (pe, loop order, tiling)
-    candidates whose latency was computed; ``joint_space_nodes`` is the size
-    of the flat joint space a vanilla enumeration would visit."""
+    candidates whose latency was computed; the oracle's ``joint_space_nodes``
+    is the size of the flat joint space a vanilla enumeration would visit."""
 
     evaluated_nodes: int = 0
     joint_space_nodes: int = 0
-
-    def add(self, other: "SearchStats") -> None:
-        self.evaluated_nodes += other.evaluated_nodes
-        self.joint_space_nodes += other.joint_space_nodes
 
 
 def split_by_type(layers: Sequence[LayerDescriptor]) -> dict[LayerType, list[LayerDescriptor]]:
@@ -146,18 +143,18 @@ def max_conv_pes(budget: HardwareBudget) -> int:
 @dataclass
 class CoarseResult:
     chunk: ChunkConfig
-    gb_bytes: int          # provisional: the full buffer budget
     cycles: int
     stats: SearchStats
-    had_conv: bool
 
 
 def _chunk_evals(kind: LayerType, layers: Sequence[LayerDescriptor], pes: Sequence[int],
-                 gb: int, budget: HardwareBudget, search: bool,
+                 budget: HardwareBudget, search: bool,
                  stats: SearchStats) -> dict[int, ChunkEval]:
     """Per-chunk table: for every PE count, the chunk's best dataflow by full
-    sweep, or with ``search`` off the hand dataflow scored layer by layer.
-    A buffer no dataflow fits is an infeasible budget."""
+    sweep, or with ``search`` off the hand dataflow scored layer by layer,
+    with the buffer provisionally at its maximum. A buffer no dataflow fits
+    is an infeasible budget."""
+    gb = budget.gb_bytes_max
     if search:
         try:
             table = evaluate_dataflows(kind, layers, pes, gb, budget).evals
@@ -167,23 +164,22 @@ def _chunk_evals(kind: LayerType, layers: Sequence[LayerDescriptor], pes: Sequen
         df = manual_dataflow(layers)
         try:
             table = {pe: ChunkEval(df, sum(layer_latency(l, ChunkConfig(kind, pe, df), gb, budget)
-                                           for l in layers), 0, 1, 1)
+                                           for l in layers), 1, 1)
                      for pe in pes}
         except TileExceedsBuffer as exc:
             raise InfeasibleBudget(
                 f"hand dataflow tile {df.tiling} of chunk {kind.short} does not fit: {exc}"
             ) from exc
-    for ev in table.values():
-        stats.add(SearchStats(ev.nodes, ev.nodes))
+    stats.evaluated_nodes += sum(ev.nodes for ev in table.values())
     return table
 
 
 def _best_design(layers: Sequence[LayerDescriptor], tables: dict[LayerType, dict[int, ChunkEval]],
-                 budget: HardwareBudget, stats: SearchStats) -> tuple[AcceleratorConfig, int]:
+                 budget: HardwareBudget, stats: SearchStats) -> AcceleratorConfig:
     """Pick the PE combination of the per-chunk tables that fits the LUT
     budget with the smallest pipeline interval (ties: fewer LUTs, then
     smaller PE counts), then shrink the buffer to the smallest size that
-    holds every chosen tile. Returns the design and its interval."""
+    holds every chosen tile."""
     table_c, table_s, table_a = (tables[k] for k in _KIND_ORDER)
     avail = budget.lut_total - budget.lut_overhead
     best = None
@@ -199,13 +195,13 @@ def _best_design(layers: Sequence[LayerDescriptor], tables: dict[LayerType, dict
             best = key
     if best is None:
         raise InfeasibleBudget("no PE combination fits the LUT budget")
-    interval, _, *pes = best
+    pes = best[2:]
     chunks = [ChunkConfig(kind, pe, tables[kind][pe].dataflow)
               for kind, pe in zip(_KIND_ORDER, pes)]
     cfg = AcceleratorConfig(*chunks, gb_bytes=budget.gb_bytes_max)
     cfg = replace(cfg, gb_bytes=max(1, min_gb_size(cfg, layers, budget)))
     cfg.assert_fits(budget)
-    return cfg, interval
+    return cfg
 
 
 def coarse_search(layers: Sequence[LayerDescriptor], budget: HardwareBudget,
@@ -222,11 +218,9 @@ def coarse_search(layers: Sequence[LayerDescriptor], budget: HardwareBudget,
             warnings.warn("no conv layers; conv chunk degenerates to a single PE",
                           NoConvLayers, stacklevel=2)
         pe_c = 1
-    gb = budget.gb_bytes_max
     stats = SearchStats()
-    ev = _chunk_evals(LayerType.CONV, conv_layers, [pe_c], gb, budget, search, stats)[pe_c]
-    return CoarseResult(ChunkConfig(LayerType.CONV, pe_c, ev.dataflow), gb, ev.cycles,
-                        stats, had_conv=bool(conv_layers))
+    ev = _chunk_evals(LayerType.CONV, conv_layers, [pe_c], budget, search, stats)[pe_c]
+    return CoarseResult(ChunkConfig(LayerType.CONV, pe_c, ev.dataflow), ev.cycles, stats)
 
 
 def eq9_pe_init(macs: MacProfile, pe_c: int) -> tuple[float, float, int, int]:
@@ -264,7 +258,6 @@ def _clamp_pair_to_lut(pe_s: int, pe_a: int, avail_lut: int) -> tuple[int, int]:
 @dataclass
 class FineResult:
     config: AcceleratorConfig
-    interval_cycles: int
     stats: SearchStats
 
 
@@ -296,13 +289,11 @@ def fine_search(
 
     steps = FINETUNE_STEPS if search else (1.0,)
     stats = SearchStats()
-    tables = {LayerType.CONV: {pe_c: ChunkEval(coarse.chunk.dataflow, coarse.cycles, 0, 0, 0)}}
+    tables = {LayerType.CONV: {pe_c: ChunkEval(coarse.chunk.dataflow, coarse.cycles, 0, 0)}}
     for kind, init in ((LayerType.SHIFT, init_s), (LayerType.ADDER, init_a)):
         pes = sorted({max(1, round(init * m)) for m in steps})
-        tables[kind] = _chunk_evals(kind, by_type[kind], pes, coarse.gb_bytes, budget,
-                                    search, stats)
-    cfg, interval = _best_design(layers, tables, budget, stats)
-    return FineResult(cfg, interval, stats)
+        tables[kind] = _chunk_evals(kind, by_type[kind], pes, budget, search, stats)
+    return FineResult(_best_design(layers, tables, budget, stats), stats)
 
 
 @dataclass
@@ -328,9 +319,7 @@ def search_accelerator_layers(
     """
     coarse = coarse_search(layers, budget, search=coarse_phase)
     fine = fine_search(layers, budget, coarse, search=fine_phase)
-    stats = SearchStats()
-    stats.add(coarse.stats)
-    stats.add(fine.stats)
+    stats = SearchStats(coarse.stats.evaluated_nodes + fine.stats.evaluated_nodes)
     report = pipeline_perf(layers, fine.config, budget, coeffs)
     return AccelSearchResult(fine.config, report, stats)
 
@@ -371,12 +360,10 @@ def oracle_layers(
     if joint > node_cap:
         raise GridTooLarge(f"joint space {joint:.3g} exceeds node cap {node_cap:.3g}")
 
-    gb = budget.gb_bytes_max
-    stats = SearchStats()
-    tables = {kind: _chunk_evals(kind, by_type[kind], grids[kind], gb, budget, True, stats)
+    stats = SearchStats(joint_space_nodes=joint)
+    tables = {kind: _chunk_evals(kind, by_type[kind], grids[kind], budget, True, stats)
               for kind in _KIND_ORDER}
-    cfg, _ = _best_design(layers, tables, budget, stats)
-    stats.joint_space_nodes = joint
+    cfg = _best_design(layers, tables, budget, stats)
     report = pipeline_perf(layers, cfg, budget, coeffs)
     return AccelSearchResult(cfg, report, stats)
 
@@ -465,7 +452,6 @@ class CandidateEval:
     report: PerfReport | None
     nn_degree: float | None
     zen: float | None
-    degenerate: bool = False
     reject_reason: str | None = None
 
     @property
@@ -528,24 +514,22 @@ def _evaluate_candidate(
     if reason is not None:
         return CandidateEval(net, result.config, result.report, None, None,
                              reject_reason=reason)
-    nn_val, zen_val = zero_shot_scores(net, space, params, params.seed, (layers, blocks))
-    return CandidateEval(net, result.config, result.report, nn_val, zen_val,
-                         degenerate=zen_val is None)
+    nn_val, zen_val = zero_shot_scores(net, space, params, (layers, blocks))
+    return CandidateEval(net, result.config, result.report, nn_val, zen_val)
 
 
 def zero_shot_scores(
     net: SubNetwork,
     space: SearchSpace,
     params: SearchParams,
-    seed: int,
     expansion: tuple[list[LayerDescriptor], list[BlockInfo]],
 ) -> tuple[float, float | None]:
     """nn_degree and Zen score of one genome, given its ``expand_blocks``
-    result. Weight and Zen input seeds derive from (seed, genome digest);
-    the Zen score is None when the network's perturbation response
+    result. Weight and Zen input seeds derive from (params.seed, genome
+    digest); the Zen score is None when the network's perturbation response
     degenerates."""
     nn_val = zeroshot.nn_degree(*expansion)
-    weight_seed, zen_seed = derive_seeds(seed, net.digest())
+    weight_seed, zen_seed = derive_seeds(params.seed, net.digest())
     try:
         hybrid = instantiate(net, space, weight_seed, expansion=expansion)
         zen_val = zeroshot.zen_score(
@@ -571,10 +555,11 @@ def rank_scores(scores: Sequence[tuple[float, float | None]]) -> list[int]:
     return out
 
 
-def _rank_pool(pool: list[CandidateEval]) -> dict[int, int]:
-    """Combined rank per candidate digest; degenerate candidates rank last."""
-    ranks = rank_scores([(c.nn_degree, None if c.degenerate else c.zen) for c in pool])
-    return {c.net.digest(): r for c, r in zip(pool, ranks)}
+def _ranked(pool: list[CandidateEval]) -> list[tuple[int, CandidateEval]]:
+    """(combined rank within ``pool``, candidate) pairs sorted by rank, then
+    genome digest; degenerate candidates rank last."""
+    ranks = rank_scores([(c.nn_degree, c.zen) for c in pool])
+    return sorted(zip(ranks, pool), key=lambda rc: (rc[0], rc[1].net.digest()))
 
 
 def cosearch(
@@ -595,128 +580,80 @@ def cosearch(
     so results do not depend on evaluation scheduling.
     """
     rng = random.Random(params.seed)
-    eff_budget = effective_budget(budget, constraint)
+    evaluate = partial(_evaluate_candidate, space=space,
+                       budget=effective_budget(budget, constraint),
+                       constraint=constraint, coeffs=coeffs, params=params)
     cache: dict[int, CandidateEval] = {}
-    evaluations = 0
-
-    def evaluate_all(nets: list[SubNetwork]) -> None:
-        nonlocal evaluations
-        todo = []
-        seen = set()
-        for net in nets:
-            key = net.digest()
-            if key not in cache and key not in seen:
-                seen.add(key)
-                todo.append(net)
-        if not todo:
-            return
-        evaluations += len(todo)
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(
-                    pool.map(
-                        lambda n: _evaluate_candidate(
-                            n, space, eff_budget, constraint, coeffs, params
-                        ),
-                        todo,
-                    )
-                )
-        else:
-            results = [
-                _evaluate_candidate(n, space, eff_budget, constraint, coeffs, params)
-                for n in todo
-            ]
-        for net, ev in zip(todo, results):
-            cache[net.digest()] = ev
-
-    initial = [sample_random(space, rng) for _ in range(params.population)]
-    evaluate_all(initial)
-    population = _dedupe_feasible(initial, cache)
-    if not population:
-        raise EmptyPopulation("constraints eliminated the entire initial population")
-
     log: list[dict] = []
-    ranks = _rank_pool([cache[d] for d in population])
-    population = sorted(population, key=lambda d: (ranks[d], d))[: params.population]
-    log.append(_log_row(0, len(initial), population, cache))
-    if progress:
-        progress(f"iteration 0: population {len(population)}")
+    with ThreadPoolExecutor(max_workers=threads) as executor:
 
-    for iteration in range(1, params.iterations + 1):
-        parents = [cache[d].net for d in population]
-        offspring: list[SubNetwork] = []
-        n_cross = params.expand_size // 2
-        for _ in range(n_cross):
-            a, b = rng.choice(parents), rng.choice(parents)
-            if rng.random() < params.crossover_prob:
-                offspring.append(crossover(space, a, b, rng))
-            else:
-                offspring.append(mutate(space, a, params.mutate_prob, rng))
-        for _ in range(params.expand_size - n_cross):
-            offspring.append(mutate(space, rng.choice(parents), params.mutate_prob, rng))
-        evaluate_all(offspring)
-        pool_digests = _dedupe_feasible([cache[d].net for d in population] + offspring, cache)
-        if not pool_digests:
-            raise EmptyPopulation(f"iteration {iteration}: no feasible candidates remain")
-        ranks = _rank_pool([cache[d] for d in pool_digests])
-        pool_sorted = sorted(pool_digests, key=lambda d: (ranks[d], d))
-        population = pool_sorted[: params.population]
-        log.append(_log_row(iteration, len(offspring), population, cache))
-        if progress:
-            progress(f"iteration {iteration}: population {len(population)}")
+        def feasible(nets: list[SubNetwork]) -> list[CandidateEval]:
+            """The evaluation of each distinct genome of ``nets`` that meets
+            the constraint, in first-seen order; genomes not yet cached are
+            evaluated on the pool."""
+            first: dict[int, SubNetwork] = {}
+            for net in nets:
+                first.setdefault(net.digest(), net)
+            todo = {d: net for d, net in first.items() if d not in cache}
+            cache.update(zip(todo, executor.map(evaluate, todo.values())))
+            return [cache[d] for d in first if cache[d].feasible]
 
-    final_ranks = _rank_pool([cache[d] for d in population])
-    ordered = sorted(population, key=lambda d: (final_ranks[d], d))
-    records = []
-    for d in ordered:
-        ev = cache[d]
-        records.append(
-            CandidateRecord(
-                net=ev.net,
-                config=ev.config,
-                report=ev.report,
-                score=zeroshot.ZeroShotScore(
-                    nn_degree=ev.nn_degree if ev.nn_degree is not None else float("nan"),
-                    zen_score=ev.zen if ev.zen is not None else float("nan"),
-                    combined_rank=final_ranks[d],
-                ),
-            )
+        new = [sample_random(space, rng) for _ in range(params.population)]
+        pool = feasible(new)
+        if not pool:
+            raise EmptyPopulation("constraints eliminated the entire initial population")
+        for iteration in range(params.iterations + 1):
+            if iteration:
+                # Parents are drawn in their rank order within the last pool.
+                parents = [c.net for c in population]
+                new = []
+                n_cross = params.expand_size // 2
+                for _ in range(n_cross):
+                    a, b = rng.choice(parents), rng.choice(parents)
+                    if rng.random() < params.crossover_prob:
+                        new.append(crossover(space, a, b, rng))
+                    else:
+                        new.append(mutate(space, a, params.mutate_prob, rng))
+                for _ in range(params.expand_size - n_cross):
+                    new.append(mutate(space, rng.choice(parents), params.mutate_prob, rng))
+                pool = feasible(parents + new)
+            population = [c for _, c in _ranked(pool)[: params.population]]
+            # Ranks within the retained population, comparable across iterations.
+            ranked = _ranked(population)
+            log.append(_log_row(iteration, len(new), ranked))
+            if progress:
+                progress(f"iteration {iteration}: population {len(population)}")
+
+    records = [
+        CandidateRecord(
+            net=c.net, config=c.config, report=c.report,
+            score=zeroshot.ZeroShotScore(
+                nn_degree=c.nn_degree,
+                zen_score=float("nan") if c.zen is None else c.zen,
+                combined_rank=rank,
+            ),
         )
+        for rank, c in ranked
+    ]
     return CoSearchResult(
         entries=records[: params.top_k],
         population=records,
         log=log,
-        evaluations=evaluations,
+        evaluations=len(cache),
     )
 
 
-def _dedupe_feasible(nets: list[SubNetwork], cache: dict[int, CandidateEval]) -> list[int]:
-    seen = []
-    used = set()
-    for net in nets:
-        d = net.digest()
-        if d in used:
-            continue
-        used.add(d)
-        if cache[d].feasible:
-            seen.append(d)
-    return seen
-
-
-def _log_row(iteration: int, new_evals: int, population: list[int],
-             cache: dict[int, CandidateEval]) -> dict:
-    """Per-iteration statistics. Ranks are recomputed within the retained
-    population so the columns are comparable across iterations."""
-    members = [cache[d] for d in population]
-    ranks = _rank_pool(members)
-    rank_vals = [ranks[d] for d in population]
-    finite = [m for m in members if not m.degenerate]
+def _log_row(iteration: int, new_evals: int, ranked: list[tuple[int, CandidateEval]]) -> dict:
+    """Per-iteration statistics of the retained population, ranked within it."""
+    ranks = [r for r, _ in ranked]
+    members = [c for _, c in ranked]
+    finite = [m for m in members if m.zen is not None]
     return {
         "iteration": iteration,
         "candidates": new_evals,
-        "population": len(population),
-        "best_combined_rank": min(rank_vals),
-        "mean_combined_rank": sum(rank_vals) / len(rank_vals),
+        "population": len(members),
+        "best_combined_rank": min(ranks),
+        "mean_combined_rank": sum(ranks) / len(ranks),
         "best_nn_degree": max((m.nn_degree for m in finite), default=float("nan")),
         "best_zen_score": max((m.zen for m in finite), default=float("nan")),
         "best_throughput_gops": max(m.report.throughput_gops for m in members),

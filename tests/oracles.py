@@ -8,16 +8,18 @@ the package's layers, and ``ref_instantiate`` draws the full classifier.
 It also holds the scalar fixture forms of the package's vector metrics
 (``nn_degree_terms``, ``rank_of``, ``combined_score``) and genome-level
 wrappers only the tests use (``is_valid``, ``smallest_genome``,
-``exhaustive_oracle``).
+``exhaustive_oracle``), and the co-search loop in its serial form
+(``ref_cosearch``).
 """
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from chunknas import nn
+from chunknas import nn, zeroshot
 from chunknas.accel import (
     ChunkConfig,
     ChunkEval,
@@ -26,7 +28,16 @@ from chunknas.accel import (
     LoopOrder,
     layer_latency,
 )
-from chunknas.cosearch import DEFAULT_NODE_CAP, oracle_layers
+from chunknas.cosearch import (
+    DEFAULT_NODE_CAP,
+    CandidateRecord,
+    CoSearchResult,
+    EmptyPopulation,
+    _evaluate_candidate,
+    effective_budget,
+    oracle_layers,
+    rank_scores,
+)
 from chunknas.nn import HybridLayer, NonFiniteScore
 from chunknas.search_space import (
     NUM_HEAD_LAYERS,
@@ -34,8 +45,11 @@ from chunknas.search_space import (
     MembershipViolation,
     _assemble,
     _fields,
+    crossover,
     expand,
     expand_blocks,
+    mutate,
+    sample_random,
     validate,
 )
 
@@ -429,5 +443,84 @@ def ref_best_dataflow(kind, layers, pe, gb_bytes, budget):
         key = (cycles, ws, int(df.loop_order), df.tiling)
         if best is None or key < best[0]:
             best = (key, df)
-    (cycles, ws, _, _), df = best
-    return ChunkEval(df, cycles, math.ceil(ws), 4 * len(ref_tilings(layers)), len(flows))
+    (cycles, _, _, _), df = best
+    return ChunkEval(df, cycles, 4 * len(ref_tilings(layers)), len(flows))
+
+
+def ref_cosearch(space, budget, constraint, params, coeffs):
+    """The co-search loop evaluated serially over a population of genome
+    digests, which ranks every pool, every retained population (for its log
+    row) and the final population afresh."""
+    rng = random.Random(params.seed)
+    eff_budget = effective_budget(budget, constraint)
+    cache = {}
+
+    def evaluate_all(nets):
+        for net in nets:
+            if net.digest() not in cache:
+                cache[net.digest()] = _evaluate_candidate(net, space, eff_budget, constraint,
+                                                          coeffs, params)
+
+    def dedupe_feasible(nets):
+        out = []
+        for net in nets:
+            if net.digest() not in out and cache[net.digest()].feasible:
+                out.append(net.digest())
+        return out
+
+    def rank(digests):
+        return dict(zip(digests, rank_scores([(cache[d].nn_degree, cache[d].zen)
+                                              for d in digests])))
+
+    def log_row(iteration, new_evals, population):
+        ranks = rank(population)
+        rank_vals = [ranks[d] for d in population]
+        members = [cache[d] for d in population]
+        finite = [m for m in members if m.zen is not None]
+        return {
+            "iteration": iteration,
+            "candidates": new_evals,
+            "population": len(population),
+            "best_combined_rank": min(rank_vals),
+            "mean_combined_rank": sum(rank_vals) / len(rank_vals),
+            "best_nn_degree": max((m.nn_degree for m in finite), default=float("nan")),
+            "best_zen_score": max((m.zen for m in finite), default=float("nan")),
+            "best_throughput_gops": max(m.report.throughput_gops for m in members),
+            "best_fps": max(m.report.fps for m in members),
+            "min_latency_ms": min(m.report.latency_s for m in members) * 1e3,
+        }
+
+    initial = [sample_random(space, rng) for _ in range(params.population)]
+    evaluate_all(initial)
+    population = dedupe_feasible(initial)
+    if not population:
+        raise EmptyPopulation("constraints eliminated the entire initial population")
+    ranks = rank(population)
+    population = sorted(population, key=lambda d: (ranks[d], d))[: params.population]
+    log = [log_row(0, len(initial), population)]
+    for iteration in range(1, params.iterations + 1):
+        parents = [cache[d].net for d in population]
+        offspring = []
+        n_cross = params.expand_size // 2
+        for _ in range(n_cross):
+            a, b = rng.choice(parents), rng.choice(parents)
+            if rng.random() < params.crossover_prob:
+                offspring.append(crossover(space, a, b, rng))
+            else:
+                offspring.append(mutate(space, a, params.mutate_prob, rng))
+        for _ in range(params.expand_size - n_cross):
+            offspring.append(mutate(space, rng.choice(parents), params.mutate_prob, rng))
+        evaluate_all(offspring)
+        pool = dedupe_feasible(parents + offspring)
+        ranks = rank(pool)
+        population = sorted(pool, key=lambda d: (ranks[d], d))[: params.population]
+        log.append(log_row(iteration, len(offspring), population))
+
+    ranks = rank(population)
+    records = []
+    for d in sorted(population, key=lambda d: (ranks[d], d)):
+        ev = cache[d]
+        zen = float("nan") if ev.zen is None else ev.zen
+        records.append(CandidateRecord(ev.net, ev.config, ev.report,
+                                       zeroshot.ZeroShotScore(ev.nn_degree, zen, ranks[d])))
+    return CoSearchResult(records[: params.top_k], records, log, len(cache))

@@ -281,6 +281,33 @@ def test_threads_below_one_exits_2(tmp_path, capsys, threads):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["oracle-compare", "--node-cap", "nan"], ["oracle-compare", "--node-cap", "inf"],
+    ["oracle-compare", "--node-cap", "-1"], ["score", "--random", "-3"],
+    ["score", "--random", "0"],
+], ids=["node-cap-nan", "node-cap-inf", "node-cap-neg", "random-neg", "random-0"])
+def test_bad_numeric_flag_exits_2(tmp_path, capsys, argv):
+    # Once a PASS with the node cap off (nan, inf), exit 3 for a grid too
+    # large (-1), a header-only scores.csv (-3) or exit 1 (0).
+    rc = main(["--output", str(tmp_path / "out"), *argv])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {argv[1]} must be ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["score"], ["search-accel"], ["score", "--genomes", "g.txt", "--random", "2"],
+    ["search-accel", "--genome", "16", "--genomes", "g.txt"],
+], ids=["score-none", "search-accel-none", "score-both", "search-accel-both"])
+def test_missing_or_second_input_exits_2(tmp_path, capsys, argv):
+    # A verb takes exactly one source of genomes; a missing one once exited 1.
+    with pytest.raises(SystemExit) as exc:
+        main(["--output", str(tmp_path / "out"), *argv])
+    assert exc.value.code == 2
+    assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 STAGES_WITH_TYPE_5 = [{**s, "types": [5]} for s in default_space().to_dict()["stages"]]
 
 

@@ -330,10 +330,10 @@ class TestInstantiate:
         expansion = expand_blocks(space, net)
         weight_bytes = 4 * sum(d.weight_count for d in expansion[0][:-NUM_HEAD_LAYERS])
         params = SearchParams()
-        zero_shot_scores(net, space, params, 0, expansion)  # imports scipy
+        zero_shot_scores(net, space, params, expansion)  # imports scipy
         tracemalloc.start()
         try:
-            _, zen = zero_shot_scores(net, space, params, 0, expansion)
+            _, zen = zero_shot_scores(net, space, params, expansion)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
