@@ -51,14 +51,6 @@ class LoopOrder(IntEnum):
     IS = 2  # input tile resident
     RS = 3  # filter rows resident, input rows slide
 
-    @classmethod
-    def from_name(cls, name: "str | int | LoopOrder") -> "LoopOrder":
-        if isinstance(name, LoopOrder):
-            return name
-        if isinstance(name, int):
-            return cls(name)
-        return cls[name.strip().upper()]
-
 
 @dataclass(frozen=True)
 class Dataflow:
@@ -66,7 +58,6 @@ class Dataflow:
     tiling: tuple[int, int, int, int, int]  # (t_n, t_cin, t_cout, t_h, t_w)
 
     def __post_init__(self):
-        object.__setattr__(self, "loop_order", LoopOrder.from_name(self.loop_order))
         t = tuple(int(v) for v in self.tiling)
         if len(t) != 5 or min(t) < 1:
             raise ValueError(f"tiling must be five positive ints, got {self.tiling}")
@@ -74,10 +65,6 @@ class Dataflow:
 
     def to_dict(self) -> dict:
         return {"loop_order": self.loop_order.name, "tiling": list(self.tiling)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Dataflow":
-        return cls(LoopOrder.from_name(d["loop_order"]), tuple(d["tiling"]))
 
 
 @dataclass(frozen=True)
@@ -87,7 +74,6 @@ class ChunkConfig:
     dataflow: Dataflow
 
     def __post_init__(self):
-        object.__setattr__(self, "chunk_kind", LayerType.from_code(self.chunk_kind))
         if self.pe_count < 1:
             raise ValueError("pe_count must be >= 1")
 
@@ -97,11 +83,6 @@ class ChunkConfig:
             "pe_count": self.pe_count,
             "dataflow": self.dataflow.to_dict(),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ChunkConfig":
-        return cls(LayerType.from_code(d["chunk_kind"]), d["pe_count"],
-                   Dataflow.from_dict(d["dataflow"]))
 
 
 @dataclass(frozen=True)
@@ -139,15 +120,6 @@ class AcceleratorConfig:
             "chunk_a": self.chunk_a.to_dict(),
             "gb_bytes": self.gb_bytes,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AcceleratorConfig":
-        return cls(
-            ChunkConfig.from_dict(d["chunk_c"]),
-            ChunkConfig.from_dict(d["chunk_s"]),
-            ChunkConfig.from_dict(d["chunk_a"]),
-            d["gb_bytes"],
-        )
 
 
 @dataclass(frozen=True)
@@ -278,14 +250,9 @@ class _LayerGeom:
     kernel: int
     stride: int
     dense: bool   # groups == 1
-    in_ch_total: int
     act_bytes: float
     w_bytes: float
     out_bytes: float
-
-    @property
-    def macs(self) -> int:
-        return self.ci * self.co * self.kernel ** 2 * self.h * self.w
 
 
 def _geom(layer: LayerDescriptor, budget: HardwareBudget) -> _LayerGeom:
@@ -297,7 +264,6 @@ def _geom(layer: LayerDescriptor, budget: HardwareBudget) -> _LayerGeom:
         kernel=layer.kernel,
         stride=layer.stride,
         dense=layer.groups == 1,
-        in_ch_total=layer.in_channels,
         act_bytes=budget.act_bits / 8,
         w_bytes=budget.weight_bits(layer.op_type) / 8,
         out_bytes=budget.out_bits(layer.op_type) / 8,

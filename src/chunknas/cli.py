@@ -1,8 +1,10 @@
 """Command-line driver.
 
 Verbs: score, kendall, search-accel, cosearch, reproduce-tables,
-oracle-compare. All runs are deterministic under (config, seed); commands
-refuse to overwrite a non-empty output directory unless --force is given.
+oracle-compare. All runs are deterministic under (config, seed). A verb
+checks its inputs, then prepares its output directory, then works: a
+non-empty output directory is refused (exit 2) before any work unless
+--force is given.
 """
 
 from __future__ import annotations
@@ -40,13 +42,10 @@ from .search_space import (
     validate,
 )
 
-PERF_CSV_COLUMNS = [
-    "genome", "klut", "klut_pct", "dsp", "dsp_pct", "bram_blocks", "bram_pct",
-    "freq_mhz", "latency_ms", "thrpt_gops", "gops_per_klut", "gops_per_dsp",
-    "fps", "energy_mj", "mults_m", "shifts_m", "adds_m",
-]
 
-SCORE_CSV_COLUMNS = ["genome_id", "genome", "nn_degree", "zen_score", "combined_rank"]
+class OutputNotEmpty(ValueError):
+    """The output directory holds files and --force was not given."""
+
 
 # Declared kind of each numeric flag (argparse dest); an unset flag is not checked.
 FLAG_KINDS = {"threads": POS_INT, "node_cap": POS_FINITE, "random": POS_INT}
@@ -54,6 +53,7 @@ FLAG_KINDS = {"threads": POS_INT, "node_cap": POS_FINITE, "random": POS_INT}
 # Exit code and message prefix of each typed failure; any other exception is a bug.
 EXIT_CODES = {
     ParseError: (2, ""),
+    OutputNotEmpty: (2, ""),
     MembershipViolation: (2, "invalid genome: "),
     cs.GridTooLarge: (3, ""),
     cs.EmptyPopulation: (4, ""),
@@ -69,12 +69,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
+def _write_csv(path: Path, rows: list[dict]) -> None:
+    """Rows share their keys; the first row's key order is the header."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
+    writer.writerow(rows[0])
     for row in rows:
-        writer.writerow([_fmt(row[c]) for c in columns])
+        writer.writerow([_fmt(v) for v in row.values()])
     path.write_text(buf.getvalue())
 
 
@@ -88,9 +89,7 @@ def _prepare_output(args) -> Path:
         out = Path("runs") / f"{args.verb}-{time.strftime('%Y%m%d-%H%M%S')}"
     out = Path(out)
     if out.exists() and any(out.iterdir()) and not args.force:
-        raise SystemExit(
-            f"output directory {out} is not empty; pass --force to overwrite"
-        )
+        raise OutputNotEmpty(f"output directory {out} is not empty; pass --force to overwrite")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -168,7 +167,8 @@ def cmd_score(args, cfg: RunConfig) -> int:
     else:
         rng = random.Random(cfg.params.seed)
         nets = [sample_random(cfg.space, rng) for _ in range(args.random)]
-    expansions = [expand_blocks(cfg.space, net) for net in nets]
+    expansions = [expand_blocks(cfg.space, net) for net in nets]  # validates each genome
+    out = _prepare_output(args)
     scores = [cs.zero_shot_scores(net, cfg.space, cfg.params, expansion)
               for net, expansion in zip(nets, expansions)]
     rows = [
@@ -177,9 +177,7 @@ def cmd_score(args, cfg: RunConfig) -> int:
          "combined_rank": rank}
         for net, (nn_val, zen_val), rank in zip(nets, scores, cs.rank_scores(scores))
     ]
-
-    out = _prepare_output(args)
-    _write_csv(out / "scores.csv", SCORE_CSV_COLUMNS, rows)
+    _write_csv(out / "scores.csv", rows)
     if args.json:
         print(json.dumps({"scores": rows}, indent=2, sort_keys=True))
     else:
@@ -220,11 +218,11 @@ def cmd_search_accel(args, cfg: RunConfig) -> int:
     else:
         net = read_genome_file(args.genomes)[0]
     validate(cfg.space, net)
-    accel_cfg, report = cs.search_accelerator(net, cfg.space, cfg.budget, cfg.coeffs)
     out = _prepare_output(args)
+    accel_cfg, report = cs.search_accelerator(net, cfg.space, cfg.budget, cfg.coeffs)
     _write_json(out / "accel_config.json", accel_cfg.to_dict())
     row = _perf_row(_genome_str(net), report, accel_cfg, cfg.budget)
-    _write_csv(out / "perf.csv", PERF_CSV_COLUMNS, [row])
+    _write_csv(out / "perf.csv", [row])
     if args.json:
         print(json.dumps({"accelerator": accel_cfg.to_dict(),
                           "performance": report.to_dict()}, indent=2, sort_keys=True))
@@ -254,12 +252,8 @@ def cmd_cosearch(args, cfg: RunConfig) -> int:
         "evaluations": result.evaluations,
         "population_size": len(result.population),
     })
-    log_cols = list(result.log[0].keys())
-    _write_csv(out / "log.csv", log_cols, result.log)
-    pareto = _pareto_rows(result)
-    _write_csv(out / "pareto.csv",
-               ["genome", "combined_rank", "thrpt_gops", "latency_ms", "energy_mj"],
-               pareto)
+    _write_csv(out / "log.csv", result.log)
+    _write_csv(out / "pareto.csv", _pareto_rows(result))
     if args.json:
         print(json.dumps({"entries": [r.to_dict() for r in result.entries]},
                          indent=2, sort_keys=True))
@@ -309,20 +303,21 @@ def cmd_reproduce_tables(args, cfg: RunConfig) -> int:
     suite = bundled_workloads() if args.workloads is None else _read_suite(args.workloads)
     if args.no_workloads:
         suite = None
+    out = None if args.output is None else _prepare_output(args)
     report = run_reference_checks(tables, suite)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
         for line in report.lines():
             print(line)
-    if args.output is not None:
-        out = _prepare_output(args)
+    if out is not None:
         _write_json(out / "reproduce_report.json", report.to_dict())
     return 0 if report.passed else 1
 
 
 def cmd_oracle_compare(args, cfg: RunConfig) -> int:
     suite = bundled_workloads() if args.workloads is None else _read_suite(args.workloads)
+    out = None if args.output is None else _prepare_output(args)
     comparisons = compare_workloads(suite, cfg.coeffs, node_cap=args.node_cap)
     rows = [c.to_dict() for c in comparisons]
     ok = all(check.passed for check in check_ablation(comparisons))
@@ -335,9 +330,8 @@ def cmd_oracle_compare(args, cfg: RunConfig) -> int:
                   f"thr full/fine/coarse/oracle = {c.thr_full:.2f}/{c.thr_fine_only:.2f}/"
                   f"{c.thr_coarse_only:.2f}/{c.thr_oracle:.2f}")
         print("PASS" if ok else "FAIL")
-    if args.output is not None:
-        out = _prepare_output(args)
-        _write_csv(out / "comparison.csv", list(rows[0].keys()), rows)
+    if out is not None:
+        _write_csv(out / "comparison.csv", rows)
     return 0 if ok else 1
 
 

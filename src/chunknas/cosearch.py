@@ -211,9 +211,9 @@ def coarse_search(layers: Sequence[LayerDescriptor], budget: HardwareBudget,
     With ``search`` off the conv chunk keeps the hand dataflow. A workload
     without conv layers gets a single idle conv PE."""
     conv_layers = split_by_type(layers)[LayerType.CONV]
-    if search or conv_layers:
+    if conv_layers:
         pe_c = max_conv_pes(budget)
-    if not conv_layers:
+    else:
         if search:
             warnings.warn("no conv layers; conv chunk degenerates to a single PE",
                           NoConvLayers, stacklevel=2)

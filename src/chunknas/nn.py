@@ -202,15 +202,13 @@ class LayerPlan:
 @dataclass(frozen=True)
 class HybridNet:
     """The feature extractor of a genome (stem and IRB blocks, no head) as a
-    plan: the layers, the residual blocks, and the seed and shift range its
-    weights are drawn with. It holds no weights and no per-call state."""
+    plan: the layers, the residual blocks, and the seed its weights are
+    drawn with. It holds no weights and no per-call state."""
 
     layers: list[LayerPlan]
     blocks: list[BlockInfo]
     input_resolution: int
     seed: int
-    p_min: int = SHIFT_P_MIN
-    p_max: int = SHIFT_P_MAX
 
     @property
     def in_channels(self) -> int:
@@ -228,7 +226,7 @@ class HybridNet:
             w = rng.standard_normal(shape, dtype=np.float32)
             w *= np.float32(np.sqrt(2.0 / fan_in))
             if d.op_type is LayerType.SHIFT:
-                w = quantize_shift(w, self.p_min, self.p_max)
+                w = quantize_shift(w, SHIFT_P_MIN, SHIFT_P_MAX)
             yield HybridLayer(d, w)
 
     def feature_forward(self, x: np.ndarray, bn_stats: list | None = None) -> list[np.ndarray]:
@@ -300,8 +298,6 @@ def instantiate(
     net: SubNetwork,
     space: SearchSpace,
     seed: int,
-    p_min: int = SHIFT_P_MIN,
-    p_max: int = SHIFT_P_MAX,
     expansion: tuple[list[LayerDescriptor], list[BlockInfo]] | None = None,
 ) -> HybridNet:
     """The scoring plan of a genome's feature layers; ``feature_forward``
@@ -311,4 +307,4 @@ def instantiate(
     weights equal those of a draw that includes it."""
     layers_desc, blocks = expansion or expand_blocks(space, net)
     return HybridNet([LayerPlan(d) for d in layers_desc[:-NUM_HEAD_LAYERS]], blocks,
-                     space.input_resolution, seed, p_min, p_max)
+                     space.input_resolution, seed)

@@ -37,11 +37,11 @@ def row_ops(row: dict) -> OpCounts:
     return OpCounts(row["mults_m"], row["shifts_m"], row["adds_m"])
 
 
-def energy_fit_rows(tables: dict, groups: tuple[str, ...] = ("mult_based", "mult_free")):
+def energy_fit_rows(tables: dict):
     return [
         (row_ops(r), r["energy_mj"])
         for r in tables["op_energy_rows"]
-        if r["group"] in groups
+        if r["group"] in ("mult_based", "mult_free")
     ]
 
 

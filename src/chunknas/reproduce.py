@@ -10,7 +10,7 @@ check: failures are report content.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 from . import cosearch as cs
@@ -110,13 +110,7 @@ class CheckResult:
         return f"[{mark}] {self.suite}: {self.name}{res} ({self.detail})"
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "name": self.name,
-            "passed": self.passed,
-            "detail": self.detail,
-            "residual": self.residual,
-        }
+        return asdict(self)
 
 
 def check_counting_identities(tables: dict) -> list[CheckResult]:
@@ -229,11 +223,10 @@ def _mac_profile_from_ops(row: dict) -> MacProfile:
     )
 
 
-def check_resources(tables: dict, budget: HardwareBudget | None = None) -> list[CheckResult]:
+def check_resources(tables: dict) -> list[CheckResult]:
     """Per-PE cost accounting plus the LUT range of MAC-balanced full-size
-    configurations."""
-    if budget is None:
-        budget = HardwareBudget()
+    configurations under the default LUT overhead."""
+    lut_overhead = HardwareBudget().lut_overhead
     rc = tables["resource_check"]
     pe_c = rc["pe_conv"]
     out = [
@@ -248,7 +241,7 @@ def check_resources(tables: dict, budget: HardwareBudget | None = None) -> list[
         row = op_row(tables, entry["dataset"], entry["method"])
         macs = _mac_profile_from_ops(row)
         _, _, pe_s, pe_a = cs.eq9_pe_init(macs, pe_c)
-        klut = chunk_lut(pe_c, pe_s, pe_a, budget.lut_overhead) / 1000.0
+        klut = chunk_lut(pe_c, pe_s, pe_a, lut_overhead) / 1000.0
         in_band = lo <= klut <= hi
         out.append(
             CheckResult(
@@ -380,17 +373,13 @@ class Report:
         return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
 
 
-def run_reference_checks(
-    tables: dict,
-    workload_suite: dict | None = None,
-    budget: HardwareBudget | None = None,
-) -> Report:
+def run_reference_checks(tables: dict, workload_suite: dict | None = None) -> Report:
     report = Report()
     report.checks += check_counting_identities(tables)
     report.checks += check_throughput_fps(tables)
     energy_checks, coeffs = check_energy_fit(tables)
     report.checks += energy_checks
-    report.checks += check_resources(tables, budget)
+    report.checks += check_resources(tables)
     if workload_suite is not None:
         comparisons = compare_workloads(workload_suite, coeffs)
         report.checks += check_ablation(comparisons)

@@ -302,18 +302,6 @@ class LayerDescriptor:
     def weight_count(self) -> int:
         return (self.out_channels * self.in_channels // self.groups) * self.kernel ** 2
 
-    def to_dict(self) -> dict:
-        return {
-            "op_type": self.op_type.value,
-            "in_channels": self.in_channels,
-            "out_channels": self.out_channels,
-            "kernel": self.kernel,
-            "stride": self.stride,
-            "groups": self.groups,
-            "in_h": self.in_h,
-            "in_w": self.in_w,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "LayerDescriptor":
         """A layer from a JSON object (``groups`` defaults to 1). Its values

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from importlib import resources
 
 import pytest
@@ -10,8 +11,8 @@ from chunknas.refdata import bundled_workloads, reference_tables
 from chunknas.search_space import default_space, sample_random
 
 
-def flat_genome_str(seed=0):
-    net = sample_random(default_space(), random.Random(seed))
+def flat_genome_str(seed=0, space=None):
+    net = sample_random(space or default_space(), random.Random(seed))
     return "-".join(str(v) for v in net.to_flat())
 
 
@@ -141,16 +142,69 @@ class TestCosearchCmd:
         result = json.loads((out / "result.json").read_text())
         assert len(result["entries"]) == 2
 
-    def test_refuses_nonempty_output_without_force(self, tmp_path):
+    @pytest.mark.parametrize("verb", ["score", "search-accel", "cosearch"])
+    def test_refuses_nonempty_output_without_force(self, tmp_path, capsys, monkeypatch, verb):
+        from chunknas import cosearch as cs
+        from test_cosearch import tiny_space
+
+        argv = {"score": ["score", "--random", "2"],
+                "search-accel": ["search-accel", "--genome", flat_genome_str(4, tiny_space())],
+                "cosearch": ["cosearch"]}[verb]
         cfg = tiny_run_config(tmp_path)
         out = tmp_path / "occupied"
         out.mkdir()
         (out / "keep.txt").write_text("x")
-        with pytest.raises(SystemExit):
-            main(["--config", str(cfg), "--output", str(out), "cosearch"])
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before the output directory was checked")
+
+        with monkeypatch.context() as m:
+            m.setattr(cs, "zero_shot_scores", no_work)
+            m.setattr(cs, "search_accelerator_layers", no_work)
+            rc = main(["--config", str(cfg), "--threads", "1", "--output", str(out), *argv])
+        assert rc == 2
+        assert "error: output directory" in capsys.readouterr().err
+        assert [f.name for f in out.iterdir()] == ["keep.txt"]
         rc = main(["--config", str(cfg), "--force", "--threads", "1",
-                   "--output", str(out), "cosearch"])
+                   "--output", str(out), *argv])
         assert rc == 0
+
+
+def schema_columns() -> dict[str, list[str]]:
+    """Column lists of data/csv_schema.md: a table's first column, or else
+    the section's first back-quoted comma list."""
+    text = resources.files("chunknas").joinpath("data", "csv_schema.md").read_text()
+    out = {}
+    for section in text.split("\n## ")[1:]:
+        name = section.split()[0]
+        cells = [line.split("|")[1].strip() for line in section.splitlines()
+                 if line.startswith("| ")][2:]  # past the header and rule rows
+        listed = ", ".join(cells) if cells else next(
+            span for span in re.findall(r"`([^`]*)`", section) if "," in span)
+        out[name] = [c.strip() for c in listed.split(",")]
+    return out
+
+
+def test_csv_headers_match_schema(tmp_path):
+    from test_cosearch import tiny_space
+
+    cfg = tiny_run_config(tmp_path)
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({**bundled_workloads(),
+                                 "workloads": bundled_workloads()["workloads"][:1]}))
+    runs = [["score", "--random", "2"],
+            ["search-accel", "--genome", flat_genome_str(4, tiny_space())],
+            ["cosearch"],
+            ["oracle-compare", "--workloads", str(suite)]]
+    for i, verb in enumerate(runs):
+        rc = main(["--config", str(cfg), "--threads", "1", "--output", str(tmp_path / str(i)),
+                   *verb])
+        assert rc == 0, verb
+    schema = schema_columns()
+    written = {f.name: f for f in tmp_path.glob("*/*.csv")}
+    assert sorted(written) == sorted(schema)
+    for name, columns in schema.items():
+        assert written[name].read_text().splitlines()[0].split(",") == columns, name
 
 
 class TestReproduceTables:

@@ -441,11 +441,13 @@ class TestForwardParity:
             want = ref_zen_from_draws(e.layers, h.blocks, draws, zeroshot.ZEN_ALPHA)
             assert zeroshot._zen_from_draws(h, draws, zeroshot.ZEN_ALPHA) == want, i
 
-    def test_diverging_net_raises_like_two_passes(self, genomes):
+    def test_diverging_net_raises_like_two_passes(self, genomes, monkeypatch):
         # Shift weights of 2**127 overflow the float32 activations.
+        monkeypatch.setattr(nn, "SHIFT_P_MIN", 127)
+        monkeypatch.setattr(nn, "SHIFT_P_MAX", 127)
         space = default_space()
         g = next(g for g in genomes if any(s.t is LayerType.SHIFT for s in g.stages))
-        h = instantiate(g, space, seed=0, p_min=127, p_max=127)
+        h = instantiate(g, space, seed=0)
         eager = ref_instantiate(g, space, seed=0, p_min=127, p_max=127).layers
         draws = zeroshot._draws(h, zeroshot.ZEN_BATCH, 1, np.random.default_rng(0))
         with np.errstate(over="ignore", invalid="ignore"):
