@@ -154,6 +154,11 @@ class HardwareBudget:
     def usable_dsp(self) -> int:
         return int(self.dsp_total * self.dsp_reserve_frac)
 
+    @property
+    def conv_pes_by_dsp(self) -> int:
+        """Most conv PEs the usable DSPs hold under DSP packing."""
+        return int(self.usable_dsp / DSP_PER_CONV_PE)
+
     def weight_bits(self, op_type: LayerType) -> int:
         return {
             LayerType.CONV: self.conv_w_bits,
@@ -219,10 +224,15 @@ def resource_usage(cfg: AcceleratorConfig, lut_overhead: int = 0) -> tuple[int, 
     DSP packing halves the conv PE count; LUTs are linear in PE counts plus a
     fixed overhead; BRAM is reported fractionally in 36 Kb blocks.
     """
-    dsp = math.ceil(DSP_PER_CONV_PE * cfg.chunk_c.pe_count)
+    dsp = conv_dsp(cfg.chunk_c.pe_count)
     lut = chunk_lut(*(c.pe_count for c in cfg.chunks()), lut_overhead)
     bram_blocks = cfg.gb_bytes * 8 / BRAM_BITS
     return dsp, lut, bram_blocks
+
+
+def conv_dsp(pe_c: int) -> int:
+    """DSPs of a conv chunk of ``pe_c`` PEs under DSP packing."""
+    return math.ceil(DSP_PER_CONV_PE * pe_c)
 
 
 def chunk_lut(pe_c: int, pe_s: int, pe_a: int, lut_overhead: int = 0) -> int:
@@ -381,27 +391,21 @@ def tiling_candidates(layers: Sequence[LayerDescriptor]) -> np.ndarray:
 
 @dataclass
 class ChunkEval:
-    """Best dataflow for (chunk kind, layer set, pe) plus search accounting."""
+    """Best dataflow for (chunk kind, layer set, pe) and its cycles."""
 
     dataflow: Dataflow
     cycles: int
-    nodes: int
-    feasible_dataflows: int
 
 
 @dataclass
 class DataflowTable:
-    """One chunk's sweep: the best dataflow at every PE count."""
+    """One chunk's sweep: the best dataflow at every PE count, with the
+    (pe, loop order, tiling) candidates costed and the feasible ones among
+    them, summed over the PE counts."""
 
     evals: dict[int, ChunkEval]
-
-    @property
-    def nodes(self) -> int:
-        return sum(ev.nodes for ev in self.evals.values())
-
-    @property
-    def feasible_dataflows(self) -> int:
-        return sum(ev.feasible_dataflows for ev in self.evals.values())
+    nodes: int
+    feasible_dataflows: int
 
 
 def evaluate_dataflows(
@@ -424,8 +428,8 @@ def evaluate_dataflows(
     """
     pes = list(pe_counts)
     if not layers:
-        return DataflowTable({pe: ChunkEval(Dataflow(LoopOrder.WS, (1, 1, 1, 1, 1)), 0, 1, 4)
-                              for pe in pes})
+        return DataflowTable({pe: ChunkEval(Dataflow(LoopOrder.WS, (1, 1, 1, 1, 1)), 0)
+                              for pe in pes}, len(pes), 4 * len(pes))
     for layer in layers:
         if layer.op_type is not kind:
             raise ValueError(f"layer {layer} assigned to chunk {kind}")
@@ -446,7 +450,6 @@ def evaluate_dataflows(
         raise EmptyFeasibleSet(
             f"no tiling fits a {gb_bytes} B buffer for chunk {kind.short}"
         )
-    n_feasible = 4 * int(feasible.sum())
     evals = {}
     for pe, cyc in zip(pes, np.where(feasible, total, np.inf)):
         best = cyc.min()
@@ -454,13 +457,9 @@ def evaluate_dataflows(
         # lexsort's last key is the primary one: buffer demand, loop order,
         # then the tiling's columns left to right.
         pick = np.lexsort((*arr[tile].T[::-1], order, ws_max[tile]))[0]
-        evals[pe] = ChunkEval(
-            dataflow=Dataflow(LoopOrder(int(order[pick])), tuple(arr[tile[pick]])),
-            cycles=int(best),
-            nodes=4 * a,
-            feasible_dataflows=n_feasible,
-        )
-    return DataflowTable(evals)
+        evals[pe] = ChunkEval(Dataflow(LoopOrder(int(order[pick])), tuple(arr[tile[pick]])),
+                              int(best))
+    return DataflowTable(evals, 4 * a * len(pes), 4 * int(feasible.sum()) * len(pes))
 
 
 def min_gb_size(cfg: AcceleratorConfig, layers: Sequence[LayerDescriptor],

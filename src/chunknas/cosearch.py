@@ -28,6 +28,7 @@ from .accel import (
     ChunkConfig,
     ChunkEval,
     Dataflow,
+    DataflowTable,
     EmptyFeasibleSet,
     EnergyCoeffs,
     HardwareBudget,
@@ -89,16 +90,6 @@ class EmptyPopulation(RuntimeError):
     pass
 
 
-@dataclass
-class SearchStats:
-    """Node accounting. ``evaluated_nodes`` counts (pe, loop order, tiling)
-    candidates whose latency was computed; the oracle's ``joint_space_nodes``
-    is the size of the flat joint space a vanilla enumeration would visit."""
-
-    evaluated_nodes: int = 0
-    joint_space_nodes: int = 0
-
-
 def split_by_type(layers: Sequence[LayerDescriptor]) -> dict[LayerType, list[LayerDescriptor]]:
     out: dict[LayerType, list[LayerDescriptor]] = {k: [] for k in _KIND_ORDER}
     for layer in layers:
@@ -128,11 +119,9 @@ def manual_dataflow(layers: Sequence[LayerDescriptor]) -> Dataflow:
 def max_conv_pes(budget: HardwareBudget) -> int:
     """Largest conv-chunk PE count the platform admits: DSP packing bound,
     capped so one PE of each LUT chunk still fits the LUT budget."""
-    by_dsp = int(2 * budget.usable_dsp)
     lut_room = budget.lut_total - budget.lut_overhead \
         - LUT_PER_PE[LayerType.SHIFT] - LUT_PER_PE[LayerType.ADDER]
-    by_lut = lut_room // LUT_PER_PE[LayerType.CONV]
-    pe = min(by_dsp, by_lut)
+    pe = min(budget.conv_pes_by_dsp, lut_room // LUT_PER_PE[LayerType.CONV])
     if pe < 1:
         raise InfeasibleBudget(
             f"budget admits no conv PE (dsp={budget.dsp_total}, lut={budget.lut_total})"
@@ -140,76 +129,79 @@ def max_conv_pes(budget: HardwareBudget) -> int:
     return pe
 
 
-@dataclass
-class CoarseResult:
-    chunk: ChunkConfig
-    cycles: int
-    stats: SearchStats
-
-
 def _chunk_evals(kind: LayerType, layers: Sequence[LayerDescriptor], pes: Sequence[int],
-                 budget: HardwareBudget, search: bool,
-                 stats: SearchStats) -> dict[int, ChunkEval]:
+                 budget: HardwareBudget, search: bool) -> DataflowTable:
     """Per-chunk table: for every PE count, the chunk's best dataflow by full
-    sweep, or with ``search`` off the hand dataflow scored layer by layer,
-    with the buffer provisionally at its maximum. A buffer no dataflow fits
-    is an infeasible budget."""
+    sweep, or with ``search`` off the hand dataflow scored layer by layer
+    (one node per PE count), with the buffer provisionally at its maximum.
+    A buffer no dataflow fits is an infeasible budget."""
     gb = budget.gb_bytes_max
     if search:
         try:
-            table = evaluate_dataflows(kind, layers, pes, gb, budget).evals
+            return evaluate_dataflows(kind, layers, pes, gb, budget)
         except EmptyFeasibleSet as exc:
             raise InfeasibleBudget(str(exc)) from exc
-    else:
-        df = manual_dataflow(layers)
-        try:
-            table = {pe: ChunkEval(df, sum(layer_latency(l, ChunkConfig(kind, pe, df), gb, budget)
-                                           for l in layers), 1, 1)
-                     for pe in pes}
-        except TileExceedsBuffer as exc:
-            raise InfeasibleBudget(
-                f"hand dataflow tile {df.tiling} of chunk {kind.short} does not fit: {exc}"
-            ) from exc
-    stats.evaluated_nodes += sum(ev.nodes for ev in table.values())
-    return table
+    df = manual_dataflow(layers)
+    try:
+        evals = {pe: ChunkEval(df, sum(layer_latency(l, ChunkConfig(kind, pe, df), gb, budget)
+                                       for l in layers))
+                 for pe in pes}
+    except TileExceedsBuffer as exc:
+        raise InfeasibleBudget(
+            f"hand dataflow tile {df.tiling} of chunk {kind.short} does not fit: {exc}"
+        ) from exc
+    return DataflowTable(evals, len(pes), len(pes))
 
 
-def _best_design(layers: Sequence[LayerDescriptor], tables: dict[LayerType, dict[int, ChunkEval]],
-                 budget: HardwareBudget, stats: SearchStats) -> AcceleratorConfig:
-    """Pick the PE combination of the per-chunk tables that fits the LUT
-    budget with the smallest pipeline interval (ties: fewer LUTs, then
-    smaller PE counts), then shrink the buffer to the smallest size that
-    holds every chosen tile."""
-    table_c, table_s, table_a = (tables[k] for k in _KIND_ORDER)
+@dataclass
+class AccelSearchResult:
+    """A design and its report. ``evaluated_nodes`` counts the (pe, loop
+    order, tiling) candidates whose latency was computed plus the PE
+    triples scanned; the oracle's ``joint_space_nodes`` is the size of the
+    flat joint space a vanilla enumeration would visit."""
+
+    config: AcceleratorConfig
+    report: PerfReport
+    evaluated_nodes: int
+    joint_space_nodes: int = 0
+
+
+def _best_design(layers: Sequence[LayerDescriptor], tables: Sequence[DataflowTable],
+                 budget: HardwareBudget, coeffs: EnergyCoeffs) -> AccelSearchResult:
+    """Pick the PE combination of the conv, shift and adder tables that fits
+    the LUT budget with the smallest pipeline interval (ties: fewer LUTs,
+    then smaller PE counts), then shrink the buffer to the smallest size
+    that holds every chosen tile."""
     avail = budget.lut_total - budget.lut_overhead
     best = None
-    for pe_c, pe_s, pe_a in itertools.product(sorted(table_c), sorted(table_s),
-                                              sorted(table_a)):
-        luts = chunk_lut(pe_c, pe_s, pe_a)
+    scanned = 0
+    for pes in itertools.product(*(sorted(t.evals) for t in tables)):
+        luts = chunk_lut(*pes)
         if luts > avail:
             continue
-        stats.evaluated_nodes += 1
-        interval = max(table_c[pe_c].cycles, table_s[pe_s].cycles, table_a[pe_a].cycles)
-        key = (interval, luts, pe_c, pe_s, pe_a)
+        scanned += 1
+        interval = max(t.evals[pe].cycles for t, pe in zip(tables, pes))
+        key = (interval, luts, *pes)
         if best is None or key < best:
             best = key
     if best is None:
         raise InfeasibleBudget("no PE combination fits the LUT budget")
-    pes = best[2:]
-    chunks = [ChunkConfig(kind, pe, tables[kind][pe].dataflow)
-              for kind, pe in zip(_KIND_ORDER, pes)]
+    chunks = [ChunkConfig(kind, pe, t.evals[pe].dataflow)
+              for kind, pe, t in zip(_KIND_ORDER, best[2:], tables)]
     cfg = AcceleratorConfig(*chunks, gb_bytes=budget.gb_bytes_max)
     cfg = replace(cfg, gb_bytes=max(1, min_gb_size(cfg, layers, budget)))
     cfg.assert_fits(budget)
-    return cfg
+    return AccelSearchResult(cfg, pipeline_perf(layers, cfg, budget, coeffs),
+                             sum(t.nodes for t in tables) + scanned)
 
 
 def coarse_search(layers: Sequence[LayerDescriptor], budget: HardwareBudget,
-                  search: bool = True) -> CoarseResult:
+                  search: bool = True) -> DataflowTable:
     """Phase one: fix the conv chunk at the maximum PE count and pick its
     best dataflow by full sweep, with the buffer provisionally at maximum.
     With ``search`` off the conv chunk keeps the hand dataflow. A workload
-    without conv layers gets a single idle conv PE."""
+    without conv layers gets a single idle conv PE. Returns the conv
+    chunk's one-entry table."""
     conv_layers = split_by_type(layers)[LayerType.CONV]
     if conv_layers:
         pe_c = max_conv_pes(budget)
@@ -218,9 +210,7 @@ def coarse_search(layers: Sequence[LayerDescriptor], budget: HardwareBudget,
             warnings.warn("no conv layers; conv chunk degenerates to a single PE",
                           NoConvLayers, stacklevel=2)
         pe_c = 1
-    stats = SearchStats()
-    ev = _chunk_evals(LayerType.CONV, conv_layers, [pe_c], budget, search, stats)[pe_c]
-    return CoarseResult(ChunkConfig(LayerType.CONV, pe_c, ev.dataflow), ev.cycles, stats)
+    return _chunk_evals(LayerType.CONV, conv_layers, [pe_c], budget, search)
 
 
 def eq9_pe_init(macs: MacProfile, pe_c: int) -> tuple[float, float, int, int]:
@@ -255,18 +245,13 @@ def _clamp_pair_to_lut(pe_s: int, pe_a: int, avail_lut: int) -> tuple[int, int]:
     return 1 + int((pe_s - 1) * scale), 1 + int((pe_a - 1) * scale)
 
 
-@dataclass
-class FineResult:
-    config: AcceleratorConfig
-    stats: SearchStats
-
-
 def fine_search(
     layers: Sequence[LayerDescriptor],
     budget: HardwareBudget,
-    coarse: CoarseResult,
+    coarse: DataflowTable,
+    coeffs: EnergyCoeffs,
     search: bool = True,
-) -> FineResult:
+) -> AccelSearchResult:
     """Phase two: size and map the shift/adder chunks, then shrink the buffer.
 
     PE counts start at the MAC-balanced allocation, clamped to the LUT
@@ -277,7 +262,7 @@ def fine_search(
     PE counts.
     """
     by_type = split_by_type(layers)
-    pe_c = coarse.chunk.pe_count
+    (pe_c,) = coarse.evals
     lut_s, lut_a = LUT_PER_PE[LayerType.SHIFT], LUT_PER_PE[LayerType.ADDER]
     avail = budget.lut_total - budget.lut_overhead - LUT_PER_PE[LayerType.CONV] * pe_c
     if avail < lut_s + lut_a:
@@ -288,19 +273,11 @@ def fine_search(
     init_s, init_a = _clamp_pair_to_lut(init_s, init_a, avail)
 
     steps = FINETUNE_STEPS if search else (1.0,)
-    stats = SearchStats()
-    tables = {LayerType.CONV: {pe_c: ChunkEval(coarse.chunk.dataflow, coarse.cycles, 0, 0)}}
+    tables = [coarse]
     for kind, init in ((LayerType.SHIFT, init_s), (LayerType.ADDER, init_a)):
         pes = sorted({max(1, round(init * m)) for m in steps})
-        tables[kind] = _chunk_evals(kind, by_type[kind], pes, budget, search, stats)
-    return FineResult(_best_design(layers, tables, budget, stats), stats)
-
-
-@dataclass
-class AccelSearchResult:
-    config: AcceleratorConfig
-    report: PerfReport
-    stats: SearchStats
+        tables.append(_chunk_evals(kind, by_type[kind], pes, budget, search))
+    return _best_design(layers, tables, budget, coeffs)
 
 
 def search_accelerator_layers(
@@ -318,10 +295,7 @@ def search_accelerator_layers(
     counts and the hand dataflow.
     """
     coarse = coarse_search(layers, budget, search=coarse_phase)
-    fine = fine_search(layers, budget, coarse, search=fine_phase)
-    stats = SearchStats(coarse.stats.evaluated_nodes + fine.stats.evaluated_nodes)
-    report = pipeline_perf(layers, fine.config, budget, coeffs)
-    return AccelSearchResult(fine.config, report, stats)
+    return fine_search(layers, budget, coarse, coeffs, search=fine_phase)
 
 
 def search_accelerator(
@@ -350,8 +324,8 @@ def oracle_layers(
     """
     by_type = split_by_type(layers)
     grids = {k: list(check_value(grid[k.value], CHOICES, f"grid.{k.value}")) for k in _KIND_ORDER}
-    max_pe_c = int(2 * budget.usable_dsp)
-    grids[LayerType.CONV] = [p for p in grids[LayerType.CONV] if p <= max_pe_c] or [1]
+    grids[LayerType.CONV] = [p for p in grids[LayerType.CONV]
+                             if p <= budget.conv_pes_by_dsp] or [1]
 
     n_tilings = {k: len(tiling_candidates(by_type[k])) for k in _KIND_ORDER}
     joint = 1
@@ -360,12 +334,9 @@ def oracle_layers(
     if joint > node_cap:
         raise GridTooLarge(f"joint space {joint:.3g} exceeds node cap {node_cap:.3g}")
 
-    stats = SearchStats(joint_space_nodes=joint)
-    tables = {kind: _chunk_evals(kind, by_type[kind], grids[kind], budget, True, stats)
-              for kind in _KIND_ORDER}
-    cfg = _best_design(layers, tables, budget, stats)
-    report = pipeline_perf(layers, cfg, budget, coeffs)
-    return AccelSearchResult(cfg, report, stats)
+    tables = [_chunk_evals(kind, by_type[kind], grids[kind], budget, True)
+              for kind in _KIND_ORDER]
+    return replace(_best_design(layers, tables, budget, coeffs), joint_space_nodes=joint)
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,11 @@ check: failures are report content.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 from . import cosearch as cs
-from .accel import EnergyCoeffs, HardwareBudget, chunk_lut, fit_energy_coeffs
+from .accel import EnergyCoeffs, HardwareBudget, chunk_lut, conv_dsp, fit_energy_coeffs
 from .config import ParseError
 from .refdata import energy_fit_rows, op_row, row_ops
 from .search_space import (CHOICES, FINITE, INT, POS_FINITE, Kind, LayerDescriptor, MacProfile,
@@ -229,11 +228,11 @@ def check_resources(tables: dict) -> list[CheckResult]:
     lut_overhead = HardwareBudget().lut_overhead
     rc = tables["resource_check"]
     pe_c = rc["pe_conv"]
+    dsp = conv_dsp(pe_c)
     out = [
         CheckResult(
-            "resources", "dsp_packing",
-            math.ceil(0.5 * pe_c) == rc["expected_dsp"],
-            f"{pe_c} conv PEs -> {math.ceil(0.5 * pe_c)} DSP (expect {rc['expected_dsp']})",
+            "resources", "dsp_packing", dsp == rc["expected_dsp"],
+            f"{pe_c} conv PEs -> {dsp} DSP (expect {rc['expected_dsp']})",
         )
     ]
     lo, hi = rc["klut_band"]
@@ -320,9 +319,9 @@ def compare_workloads(
                 thr_oracle=oracle.report.throughput_gops,
                 ratio=thr / oracle.report.throughput_gops,
                 exact_equal=thr == oracle.report.throughput_gops,
-                nodes_search=full.stats.evaluated_nodes,
-                nodes_oracle=oracle.stats.joint_space_nodes,
-                node_ratio=oracle.stats.joint_space_nodes / full.stats.evaluated_nodes,
+                nodes_search=full.evaluated_nodes,
+                nodes_oracle=oracle.joint_space_nodes,
+                node_ratio=oracle.joint_space_nodes / full.evaluated_nodes,
                 ordering_ok=ordering_ok,
                 equality_expected=wl.get("equality_expected", False),
                 ordering_expected=wl.get("ordering_expected", True),

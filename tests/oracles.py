@@ -432,8 +432,7 @@ def ref_dataflows(layers, gb_bytes, budget):
 
 def ref_best_dataflow(kind, layers, pe, gb_bytes, budget):
     """Brute-force sweep over scalar layer_latency: the dataflow minimizing
-    (total cycles, buffer demand, loop order, tiling), with the sweep's
-    accounting."""
+    (total cycles, buffer demand, loop order, tiling)."""
     best = None
     flows = ref_dataflows(layers, gb_bytes, budget)
     for df in flows:
@@ -444,7 +443,7 @@ def ref_best_dataflow(kind, layers, pe, gb_bytes, budget):
         if best is None or key < best[0]:
             best = (key, df)
     (cycles, _, _, _), df = best
-    return ChunkEval(df, cycles, 4 * len(ref_tilings(layers)), len(flows))
+    return ChunkEval(df, cycles)
 
 
 def ref_cosearch(space, budget, constraint, params, coeffs):

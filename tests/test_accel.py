@@ -55,6 +55,22 @@ class TestResourceUsage:
         dsp, _, _ = resource_usage(make_config(pe_c=2))
         assert dsp == 1
 
+    def test_packing_rule_is_the_models(self, monkeypatch):
+        # The reference DSP check and the conv PE bound follow the model's
+        # packing: without it the check fails and the bound halves.
+        from chunknas import accel, reproduce
+        from chunknas.refdata import reference_tables
+
+        def dsp_check():
+            return next(c for c in reproduce.check_resources(reference_tables())
+                        if c.name == "dsp_packing")
+
+        assert dsp_check().passed
+        assert HardwareBudget().conv_pes_by_dsp == 1090
+        monkeypatch.setattr(accel, "DSP_PER_CONV_PE", 1.0)
+        assert not dsp_check().passed
+        assert HardwareBudget().conv_pes_by_dsp == 545
+
     def test_linear_in_pe_counts(self):
         base = resource_usage(make_config(8, 8, 8))[1]
         bigger = resource_usage(make_config(9, 8, 8))[1]

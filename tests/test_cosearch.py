@@ -90,10 +90,10 @@ class TestCoarseSearch:
         layers = [LayerDescriptor(LayerType.CONV, 8, 8, 3, 1, 1, 8, 8)]
         budget = small_budget()
         res = coarse_search(layers, budget)
-        assert res.chunk.pe_count == 64
+        assert list(res.evals) == [64]
         ev = evaluate_dataflows(LayerType.CONV, layers, [64], budget.gb_bytes_max,
                                 budget).evals[64]
-        assert (res.chunk.dataflow, res.cycles) == (ev.dataflow, ev.cycles)
+        assert res.evals[64] == ev
 
     def test_no_conv_layers_degenerates(self):
         from chunknas.cosearch import NoConvLayers
@@ -101,8 +101,8 @@ class TestCoarseSearch:
         layers = [LayerDescriptor(LayerType.SHIFT, 8, 8, 3, 1, 1, 8, 8)]
         with pytest.warns(NoConvLayers):
             res = coarse_search(layers, small_budget())
-        assert res.chunk.pe_count == 1
-        assert res.cycles == 0
+        assert list(res.evals) == [1]
+        assert res.evals[1].cycles == 0
 
     def test_tie_break_prefers_ws(self):
         # With unlimited bandwidth every loop order is compute bound and
@@ -112,8 +112,8 @@ class TestCoarseSearch:
             dram_bandwidth=1e12, dsp_reserve_frac=0.5, lut_overhead=500,
         )
         layers = [LayerDescriptor(LayerType.CONV, 8, 8, 1, 1, 1, 4, 4)]
-        res = coarse_search(layers, budget)
-        assert res.chunk.dataflow.loop_order is LoopOrder.WS
+        (ev,) = coarse_search(layers, budget).evals.values()
+        assert ev.dataflow.loop_order is LoopOrder.WS
 
     def test_coarse_is_optimal_for_its_chunk(self):
         # Exhaustive oracle over a single-conv-chunk workload agrees.
@@ -169,7 +169,7 @@ class TestFineSearch:
         coarse = coarse_search(layers, budget)
 
         def interval(search):
-            cfg = fine_search(layers, budget, coarse, search=search).config
+            cfg = fine_search(layers, budget, coarse, COEFFS, search=search).config
             return max(chunk_cycle_totals(layers, cfg, budget).values())
 
         assert interval(True) <= interval(False)
@@ -179,7 +179,7 @@ class TestFineSearch:
 
         layers = self._hybrid_layers()
         budget = small_budget()
-        res = fine_search(layers, budget, coarse_search(layers, budget))
+        res = fine_search(layers, budget, coarse_search(layers, budget), COEFFS)
         assert res.config.gb_bytes == min_gb_size(res.config, layers, budget)
 
     def test_lut_budget_respected(self):
@@ -187,19 +187,40 @@ class TestFineSearch:
 
         layers = self._hybrid_layers()
         budget = small_budget()
-        res = fine_search(layers, budget, coarse_search(layers, budget))
+        res = fine_search(layers, budget, coarse_search(layers, budget), COEFFS)
         _, lut, _ = resource_usage(res.config, budget.lut_overhead)
         assert lut <= budget.lut_total
 
-    def test_infeasible_budget_raises(self):
-        # 560 LUTs minus 500 overhead cannot host one PE per chunk (100 LUT).
+    @pytest.mark.filterwarnings("ignore::chunknas.cosearch.NoConvLayers")
+    @pytest.mark.parametrize("case,match", [
+        ("hybrid", "budget admits no conv PE"),
+        ("shift-only", "cannot host minimal chunks"),
+        ("oracle", "no PE combination fits the LUT budget"),
+        ("buffer", "chunk C"),
+    ], ids=["hybrid", "shift-only", "oracle", "buffer"])
+    def test_infeasible_budget_raises(self, case, match):
+        # 560 LUTs minus 500 overhead cannot host one PE per chunk (100 LUT):
+        # the conv chunk gets no PE, an idle conv PE leaves no room for the
+        # shift/adder chunks, and no 64-PE triple of the oracle grid fits.
+        # No tiling of a 3x3 conv layer fits the 8 B buffer of 64 bits of
+        # block RAM; the co-search turns each into a rejected candidate.
         layers = self._hybrid_layers()
         budget = HardwareBudget(
             dsp_total=64, lut_total=560, bram_bits_total=16 * 36864,
             dsp_reserve_frac=0.5, lut_overhead=500,
         )
-        with pytest.raises(InfeasibleBudget):
-            search_accelerator_layers(layers, budget, COEFFS)
+        with pytest.raises(InfeasibleBudget, match=match):
+            if case == "hybrid":
+                search_accelerator_layers(layers, budget, COEFFS)
+            elif case == "shift-only":
+                shift = [l for l in layers if l.op_type is LayerType.SHIFT]
+                search_accelerator_layers(shift, budget, COEFFS)
+            elif case == "oracle":
+                oracle_layers(layers, budget, COEFFS,
+                              {"conv": [64], "shift": [64], "adder": [64]})
+            else:
+                conv = [LayerDescriptor(LayerType.CONV, 4, 4, 3, 1, 1, 8, 8)]
+                search_accelerator_layers(conv, HardwareBudget(bram_bits_total=64), COEFFS)
 
 
 class TestSearchAccelerator:
@@ -257,14 +278,6 @@ class TestSearchAccelerator:
         with pytest.raises(InfeasibleBudget, match=f"chunk {kind.short}"):
             search_accelerator_layers(layers, budget, COEFFS, **phases)
 
-    def test_tiny_buffer_is_infeasible(self):
-        # No tiling of a 3x3 conv layer fits the 8 B buffer of 64 bits of
-        # block RAM: the search reports an infeasible budget naming the
-        # chunk, which the co-search turns into a rejected candidate.
-        layers = [LayerDescriptor(LayerType.CONV, 4, 4, 3, 1, 1, 8, 8)]
-        with pytest.raises(InfeasibleBudget, match="chunk C"):
-            search_accelerator_layers(layers, HardwareBudget(bram_bits_total=64), COEFFS)
-
 
 class TestOracle:
     def test_single_point_grid(self):
@@ -314,7 +327,10 @@ class TestOracle:
 
     def test_sixty_four_loop_order_combinations(self):
         # Three chunks with one PE choice and one tiling each: the joint
-        # space is exactly the 4 x 4 x 4 loop-order combinations.
+        # space is exactly the 4 x 4 x 4 loop-order combinations, of which
+        # the oracle evaluates 4 per chunk plus the one PE triple. The
+        # search evaluates 4 for the conv chunk at 64 PEs, 4 at each of the
+        # shift and adder chunks' five fine-tuned counts, and 5 x 5 triples.
         layers = [
             LayerDescriptor(LayerType.CONV, 1, 1, 1, 1, 1, 1, 1),
             LayerDescriptor(LayerType.SHIFT, 1, 1, 1, 1, 1, 1, 1),
@@ -322,7 +338,11 @@ class TestOracle:
         ]
         res = oracle_layers(layers, small_budget(), COEFFS,
                             {"conv": [1], "shift": [1], "adder": [1]})
-        assert res.stats.joint_space_nodes == 64
+        assert res.joint_space_nodes == 64
+        assert res.evaluated_nodes == 4 + 4 + 4 + 1
+        full = search_accelerator_layers(layers, small_budget(), COEFFS)
+        assert full.evaluated_nodes == 4 + 5 * 4 + 5 * 4 + 5 * 5
+        assert full.joint_space_nodes == 0
 
 
 class TestEffectiveBudget:

@@ -26,7 +26,7 @@ from chunknas.accel import (
 )
 from chunknas.cosearch import oracle_layers, search_accelerator_layers
 from chunknas.search_space import LayerDescriptor, LayerType
-from oracles import ref_best_dataflow
+from oracles import ref_best_dataflow, ref_dataflows, ref_tilings
 from test_cosearch import COEFFS
 
 CHANNELS = (1, 2, 3, 4, 8, 16, 32)
@@ -126,7 +126,8 @@ def test_table_equals_brute_force_sweep(workload, pes, gb, bandwidth):
         return
     table = evaluate_dataflows(kind, layers, pes, gb, budget)
     assert table.evals == expected
-    assert table.nodes == sum(ev.nodes for ev in expected.values())
+    assert table.nodes == len(pes) * 4 * len(ref_tilings(layers))
+    assert table.feasible_dataflows == len(pes) * len(ref_dataflows(layers, gb, budget))
 
 
 dataflows = st.builds(Dataflow, st.sampled_from(list(LoopOrder)),
