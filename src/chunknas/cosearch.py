@@ -123,10 +123,14 @@ def max_conv_pes(budget: HardwareBudget) -> int:
         - LUT_PER_PE[LayerType.SHIFT] - LUT_PER_PE[LayerType.ADDER]
     pe = min(budget.conv_pes_by_dsp, lut_room // LUT_PER_PE[LayerType.CONV])
     if pe < 1:
-        raise InfeasibleBudget(
-            f"budget admits no conv PE (dsp={budget.dsp_total}, lut={budget.lut_total})"
-        )
+        raise _no_conv_pe(budget)
     return pe
+
+
+def _no_conv_pe(budget: HardwareBudget) -> InfeasibleBudget:
+    return InfeasibleBudget(
+        f"budget admits no conv PE (dsp={budget.dsp_total}, lut={budget.lut_total})"
+    )
 
 
 def _chunk_evals(kind: LayerType, layers: Sequence[LayerDescriptor], pes: Sequence[int],
@@ -321,9 +325,13 @@ def oracle_layers(
     Per-chunk latency is independent given the (maximum) provisional buffer,
     so the joint space is covered by combining per-chunk sweeps with a full
     scan of PE triples; ``joint_space_nodes`` reports the flat space size.
+    Conv layers on a budget whose DSP share holds no conv PE are an
+    InfeasibleBudget, as in the search.
     """
     by_type = split_by_type(layers)
     grids = {k: list(check_value(grid[k.value], CHOICES, f"grid.{k.value}")) for k in _KIND_ORDER}
+    if by_type[LayerType.CONV] and budget.conv_pes_by_dsp < 1:
+        raise _no_conv_pe(budget)
     grids[LayerType.CONV] = [p for p in grids[LayerType.CONV]
                              if p <= budget.conv_pes_by_dsp] or [1]
 

@@ -13,11 +13,14 @@ norm (no affine) and ReLU except the last one.
 Activations are channels-last, (B, H, W, C): ``feature_forward`` transposes
 its NCHW inputs once. A pointwise conv or shift layer is one product per
 sample with the drawn weight, written straight into the channels-last
-output; an adder layer is one cdist of the (B*H*W, C) rows. A depthwise
+output; an adder layer takes the cdist of its (B*H*W, C) rows in blocks of
+``ADDER_ROW_BLOCK`` rows, each negated straight into the output. A depthwise
 layer adds its taps one by one where they read the input; padding adds
 nothing to conv and shift, and a per-layer table of sum |w| to the adder.
-Batch norm keeps float32 arrays but takes float64 statistics, without which
-float32 Zen scores strayed from float64 ones by up to 45.6."""
+Batch norm works in place on the fresh layer output, so a layer holds one
+activation-sized array; it keeps float32 arrays but takes float64
+statistics, without which float32 Zen scores strayed from float64 ones by
+up to 45.6."""
 
 from __future__ import annotations
 
@@ -42,6 +45,9 @@ from .search_space import (
 BN_EPS = 1e-5
 SHIFT_P_MIN = -6
 SHIFT_P_MAX = 1
+# Rows per cdist call of a dense adder layer: its float64 working set is one
+# block of distances, ADDER_ROW_BLOCK x out_channels, beside the output.
+ADDER_ROW_BLOCK = 512
 
 
 class ShapeMismatch(ValueError):
@@ -138,15 +144,22 @@ class HybridLayer:
         # Conv, shift: W times each sample's rows, transposed, into a
         # transposed output view (one tall, thin product of all rows is slow
         # under multithreaded BLAS in a thread pool). Adder: cdist of the
-        # rows, imported on first use so accelerator-only runs skip scipy.
+        # rows, imported on first use so accelerator-only runs skip scipy,
+        # one block of rows at a time against the float64 weight, each
+        # block's negation rounded straight into the output. Rows are
+        # independent and rounding is symmetric in sign, so the bits equal
+        # those of one cdist of all rows, negated after the cast.
         b, o = x.shape[0], self.desc.out_channels
         rows, oh, ow = _rows(x, self.desc.kernel, self.desc.stride)
         w = self.weight.reshape(o, -1)
         if self.desc.op_type is LayerType.ADDER:
             from scipy.spatial.distance import cdist
 
-            out = cdist(rows, w, metric="cityblock").astype(x.dtype)
-            np.negative(out, out=out)
+            w = w.astype(np.float64)
+            out = np.empty((rows.shape[0], o), dtype=x.dtype)
+            for i in range(0, rows.shape[0], ADDER_ROW_BLOCK):
+                np.negative(cdist(rows[i:i + ADDER_ROW_BLOCK], w, metric="cityblock"),
+                            out=out[i:i + ADDER_ROW_BLOCK], casting="same_kind")
         else:
             out = np.empty((b, oh * ow, o), dtype=np.result_type(x, w))
             np.matmul(w, rows.reshape(b, oh * ow, -1).transpose(0, 2, 1), out=out.transpose(0, 2, 1))
@@ -257,7 +270,7 @@ class HybridNet:
                 # Each slot is rebound as soon as its array has been read.
                 xs[i] = layer.forward(xs[i])
                 if idx != last:
-                    # _batch_norm returns a fresh array, so ReLU may run in place.
+                    # The layer output is fresh: batch norm and ReLU overwrite it.
                     xs[i] = _batch_norm(xs[i], bn_stats if i == 0 else None)
                     np.maximum(xs[i], 0.0, out=xs[i])
             if idx == end:
@@ -270,19 +283,20 @@ class HybridNet:
 
 
 def _batch_norm(x: np.ndarray, sample_var_sink: list | None) -> np.ndarray:
-    """Batch statistics, no affine, of a contiguous channels-last array:
-    each sample's spatial rows, then the batch, reduced into float64 means
-    and variances; arrays stay in x's dtype. x - m_b (m_b rounded to that
-    dtype) gives the per-sample variances and becomes the output
-    ((x - m_b) + (m_b - m)) / sqrt(var + eps), so a large mean (adder
+    """Batch statistics, no affine, of a contiguous channels-last array,
+    normalised in place: callers pass a fresh layer output and get it back
+    overwritten. Each sample's spatial rows, then the batch, are reduced
+    into float64 means and variances; arrays stay in x's dtype. x - m_b (m_b
+    rounded to that dtype) gives the per-sample variances and becomes the
+    output ((x - m_b) + (m_b - m)) / sqrt(var + eps), so a large mean (adder
     outputs) is subtracted once, from values close to it."""
     b, c = x.shape[0], x.shape[-1]
-    rows = x.reshape(b, -1, c)
-    n = rows.shape[1]
+    d = x.reshape(b, -1, c)
+    n = d.shape[1]
     # ndarray.mean's arithmetic without its Python overhead (small maps).
-    sample_mean = np.add.reduce(rows, axis=1, dtype=np.float64) / n
+    sample_mean = np.add.reduce(d, axis=1, dtype=np.float64) / n
     centre = sample_mean.astype(x.dtype)
-    d = rows - centre[:, None]
+    d -= centre[:, None]
     sample_var = np.add.reduce(np.square(d), axis=1, dtype=np.float64) / n
     mean = np.add.reduce(sample_mean) / b
     var = np.add.reduce(sample_var + np.square(sample_mean - mean)) / b

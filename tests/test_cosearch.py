@@ -18,6 +18,7 @@ from chunknas.cosearch import (
     Constraint,
     EmptyPopulation,
     GridTooLarge,
+    NoConvLayers,
     SearchParams,
     coarse_search,
     cosearch,
@@ -291,6 +292,23 @@ class TestOracle:
         ev = evaluate_dataflows(LayerType.CONV, layers, [16], budget.gb_bytes_max,
                                 budget).evals[16]
         assert res.config.chunk_c.dataflow == ev.dataflow
+
+    def test_no_conv_pe_is_infeasible_as_in_the_search(self):
+        # A DSP share of 0 holds no conv PE: a workload with a conv layer is
+        # infeasible for the oracle as for the search, not run on one PE the
+        # share does not have. A conv-free workload still runs.
+        budget = replace(small_budget(), dsp_reserve_frac=0.0)
+        grid = {"conv": [8, 16], "shift": [1, 4], "adder": [1, 4]}
+        conv = [LayerDescriptor(LayerType.CONV, 8, 8, 3, 1, 1, 8, 8)]
+        with pytest.raises(InfeasibleBudget, match="no conv PE"):
+            search_accelerator_layers(conv, budget, COEFFS)
+        with pytest.raises(InfeasibleBudget, match="no conv PE"):
+            oracle_layers(conv, budget, COEFFS, grid)
+        shift = [LayerDescriptor(LayerType.SHIFT, 8, 8, 3, 1, 1, 8, 8)]
+        with pytest.warns(NoConvLayers):
+            full = search_accelerator_layers(shift, budget, COEFFS)
+            oracle = oracle_layers(shift, budget, COEFFS, grid)
+        assert oracle.config.chunk_c.pe_count == full.config.chunk_c.pe_count == 1
 
     def test_node_cap(self):
         layers = [LayerDescriptor(LayerType.CONV, 8, 8, 3, 1, 1, 8, 8)]

@@ -204,6 +204,44 @@ class TestLayerSemantics:
             x = rng.standard_normal((2, ci, h, h), dtype=np.float32)
             assert np.all(_nchw(HybridLayer(desc, w), x) <= 0)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kernel, stride", [(1, 1), (3, 1), (3, 2)])
+    def test_adder_rows_across_blocks_bit_identical(self, kernel, stride, dtype):
+        # 5 x 13 x 13 = 845 output rows: one full block of cdist rows and a
+        # partial one.
+        rng = np.random.default_rng(11)
+        desc = LayerDescriptor(LayerType.ADDER, 6, 7, kernel, stride, 1, 13 * stride, 13 * stride)
+        layer = HybridLayer(desc, rng.standard_normal((7, 6, kernel, kernel), dtype=np.float32))
+        x = rng.standard_normal((5, 13 * stride, 13 * stride, 6)).astype(dtype)
+        rows = 5 * desc.out_h * desc.out_w
+        assert rows > nn.ADDER_ROW_BLOCK and rows % nn.ADDER_ROW_BLOCK
+        got, ref = layer.forward(x), ref_layer_forward(layer, x)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        assert _layout(got) == _layout(ref)
+
+    @pytest.mark.parametrize("call", ["adder_pw", "batch_norm"])
+    def test_peak_below_one_and_a_half_activations(self, call):
+        # The dense adder holds one block of float64 distances beside its
+        # output, and batch norm overwrites its input: neither holds a
+        # second activation-sized array.
+        rng = np.random.default_rng(0)
+        if call == "adder_pw":
+            desc = LayerDescriptor(LayerType.ADDER, 16, 96, 1, 1, 1, 32, 32)
+            layer = HybridLayer(desc, rng.standard_normal((96, 16, 1, 1), dtype=np.float32))
+            x = rng.standard_normal((16, 32, 32, 16), dtype=np.float32)
+            run, nbytes = (lambda: layer.forward(x)), 16 * 32 * 32 * 96 * 4
+        else:
+            xs = [rng.standard_normal((16, 16, 16, 96), dtype=np.float32) for _ in range(2)]
+            run, nbytes = (lambda: nn._batch_norm(xs.pop(), None)), xs[0].nbytes
+        run()  # warm-up: imports scipy
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * nbytes, (peak, nbytes)
+
     def test_shape_mismatch(self):
         desc = LayerDescriptor(LayerType.CONV, 3, 4, 3, 1, 1, 8, 8)
         layer = HybridLayer(desc, np.zeros((4, 3, 3, 3), dtype=np.float32))
@@ -405,8 +443,9 @@ class TestForwardParity:
                 assert _layout(y) == _layout(ref), (i, idx, d)
                 x = y
                 if idx < n - 1:
-                    x = nn._batch_norm(y, stats)
+                    # The reference first: _batch_norm overwrites y.
                     ref = ref_batch_norm(y, ref_stats)
+                    x = nn._batch_norm(y, stats)
                     assert np.array_equal(x, ref) and _layout(x) == _layout(ref), (i, idx)
                     np.maximum(x, 0.0, out=x)
                 if idx == end:
