@@ -63,9 +63,6 @@ class Dataflow:
             raise ValueError(f"tiling must be five positive ints, got {self.tiling}")
         object.__setattr__(self, "tiling", t)
 
-    def to_dict(self) -> dict:
-        return {"loop_order": self.loop_order.name, "tiling": list(self.tiling)}
-
 
 @dataclass(frozen=True)
 class ChunkConfig:
@@ -76,13 +73,6 @@ class ChunkConfig:
     def __post_init__(self):
         if self.pe_count < 1:
             raise ValueError("pe_count must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "chunk_kind": self.chunk_kind.short,
-            "pe_count": self.pe_count,
-            "dataflow": self.dataflow.to_dict(),
-        }
 
 
 @dataclass(frozen=True)
@@ -114,12 +104,7 @@ class AcceleratorConfig:
         return (self.chunk_c, self.chunk_s, self.chunk_a)
 
     def to_dict(self) -> dict:
-        return {
-            "chunk_c": self.chunk_c.to_dict(),
-            "chunk_s": self.chunk_s.to_dict(),
-            "chunk_a": self.chunk_a.to_dict(),
-            "gb_bytes": self.gb_bytes,
-        }
+        return dump_fields(self)
 
 
 @dataclass(frozen=True)
@@ -486,7 +471,7 @@ class PerfReport:
     lut: int
     bram_blocks: float
     per_chunk_time_s: tuple[float, float, float]
-    ops: OpCounts
+    ops: OpCounts = declare(None, key="ops_m")
 
     def validate(self) -> None:
         total_ops = self.ops.total * 1e6
@@ -495,19 +480,7 @@ class PerfReport:
         assert abs(self.latency_s - max(self.per_chunk_time_s)) <= 1e-15
 
     def to_dict(self) -> dict:
-        return {
-            "latency_s": self.latency_s,
-            "throughput_gops": self.throughput_gops,
-            "fps": self.fps,
-            "gops_per_klut": self.gops_per_klut,
-            "gops_per_dsp": self.gops_per_dsp,
-            "energy_mj": self.energy_mj,
-            "dsp": self.dsp,
-            "lut": self.lut,
-            "bram_blocks": self.bram_blocks,
-            "per_chunk_time_s": list(self.per_chunk_time_s),
-            "ops_m": {"mults": self.ops.mults, "shifts": self.ops.shifts, "adds": self.ops.adds},
-        }
+        return dump_fields(self)
 
 
 def chunk_cycle_totals(

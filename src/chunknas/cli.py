@@ -32,6 +32,7 @@ from .reproduce import (
     run_reference_checks,
 )
 from .search_space import (
+    FINITE,
     POS_FINITE,
     POS_INT,
     MembershipViolation,
@@ -55,6 +56,7 @@ EXIT_CODES = {
     ParseError: (2, ""),
     OutputNotEmpty: (2, ""),
     MembershipViolation: (2, "invalid genome: "),
+    zeroshot.AllTied: (2, ""),
     cs.GridTooLarge: (3, ""),
     cs.EmptyPopulation: (4, ""),
     InfeasibleBudget: (5, ""),
@@ -131,7 +133,7 @@ def _genome_str(net: SubNetwork) -> str:
     return "-".join(str(v) for v in net.to_flat())
 
 
-def _perf_row(genome: str, report, cfg, budget) -> dict:
+def _perf_row(genome: str, report, budget) -> dict:
     dsp, lut, bram = report.dsp, report.lut, report.bram_blocks
     return {
         "genome": genome,
@@ -197,13 +199,19 @@ def cmd_kendall(args, cfg: RunConfig) -> int:
         if len(row) < 2:
             raise ParseError("need two columns", line=line_no)
         try:
-            x, y = float(row[0]), float(row[1])
+            cells = [float(c) for c in row[:2]]
         except ValueError:
             if line_no == 1:
                 continue  # header
             raise ParseError("non-numeric cell", line=line_no)
+        try:
+            x, y = (check_value(c, FINITE, "cell") for c in cells)
+        except ValueError as exc:
+            raise ParseError(str(exc), line=line_no) from exc
         xs.append(x)
         ys.append(y)
+    if len(xs) < 2:
+        raise ParseError(f"{args.csv}: need at least two rows, got {len(xs)}")
     tau = zeroshot.kendall_tau(xs, ys)
     if args.json:
         print(json.dumps({"kendall_tau": tau, "n": len(xs)}))
@@ -221,7 +229,7 @@ def cmd_search_accel(args, cfg: RunConfig) -> int:
     out = _prepare_output(args)
     accel_cfg, report = cs.search_accelerator(net, cfg.space, cfg.budget, cfg.coeffs)
     _write_json(out / "accel_config.json", accel_cfg.to_dict())
-    row = _perf_row(_genome_str(net), report, accel_cfg, cfg.budget)
+    row = _perf_row(_genome_str(net), report, cfg.budget)
     _write_csv(out / "perf.csv", [row])
     if args.json:
         print(json.dumps({"accelerator": accel_cfg.to_dict(),

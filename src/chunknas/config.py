@@ -34,6 +34,12 @@ class ParseError(ValueError):
         super().__init__(message + suffix)
 
 
+# The record type of each section of a run configuration document. The
+# energy section is not one: it holds coefficients or rows to fit them from.
+SECTIONS = {"space": SearchSpace, "budget": HardwareBudget, "constraint": Constraint,
+            "params": SearchParams}
+
+
 @dataclass
 class RunConfig:
     space: SearchSpace = field(default_factory=default_space)
@@ -43,25 +49,12 @@ class RunConfig:
     coeffs: EnergyCoeffs = field(default_factory=default_energy_coeffs)
 
     def to_dict(self) -> dict:
-        return {
-            "space": self.space.to_dict(),
-            "budget": self.budget.to_dict(),
-            "constraint": self.constraint.to_dict(),
-            "params": self.params.to_dict(),
-            "energy": {"coeffs": self.coeffs.to_dict()},
-        }
+        return {**{s: getattr(self, s).to_dict() for s in SECTIONS},
+                "energy": {"coeffs": self.coeffs.to_dict()}}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        cfg = cls()
-        if "space" in d:
-            cfg.space = SearchSpace.from_dict(d["space"])
-        if "budget" in d:
-            cfg.budget = HardwareBudget.from_dict(d["budget"])
-        if "constraint" in d:
-            cfg.constraint = Constraint.from_dict(d["constraint"])
-        if "params" in d:
-            cfg.params = SearchParams.from_dict(d["params"])
+        cfg = cls(**{s: record.from_dict(d[s]) for s, record in SECTIONS.items() if s in d})
         if "energy" in d:
             cfg.coeffs = _energy_from_dict(d["energy"])
         return cfg
@@ -94,7 +87,7 @@ def apply_env_overrides(doc: dict, environ: dict | None = None) -> dict:
     as JSON literals, falling back to plain strings.
     """
     environ = os.environ if environ is None else environ
-    sections = ("space", "budget", "constraint", "params", "energy")
+    sections = (*SECTIONS, "energy")
     for name, raw in sorted(environ.items()):
         if not name.startswith(ENV_PREFIX + "_"):
             continue

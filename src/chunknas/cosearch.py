@@ -416,12 +416,12 @@ def effective_budget(budget: HardwareBudget, constraint: Constraint) -> Hardware
     search itself targets the allowed envelope; latency/throughput bounds
     still filter candidates afterwards. A budget that grants the conv chunk
     no DSP share keeps its DSP total; its search ends in InfeasibleBudget."""
-    d = budget.to_dict()
+    caps = {}
     if constraint.max_lut is not None:
-        d["lut_total"] = min(budget.lut_total, constraint.max_lut)
+        caps["lut_total"] = min(budget.lut_total, constraint.max_lut)
     if constraint.max_dsp is not None and budget.dsp_reserve_frac > 0:
-        d["dsp_total"] = math.ceil(min(constraint.max_dsp / budget.dsp_reserve_frac, budget.dsp_total))
-    return HardwareBudget.from_dict(d)
+        caps["dsp_total"] = math.ceil(min(constraint.max_dsp / budget.dsp_reserve_frac, budget.dsp_total))
+    return replace(budget, **caps)
 
 
 @dataclass

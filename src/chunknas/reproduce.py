@@ -9,7 +9,7 @@ check: failures are report content.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import cosearch as cs
@@ -17,7 +17,7 @@ from .accel import EnergyCoeffs, HardwareBudget, chunk_lut, conv_dsp, fit_energy
 from .config import ParseError
 from .refdata import energy_fit_rows, op_row, row_ops
 from .search_space import (CHOICES, FINITE, INT, POS_FINITE, Kind, LayerDescriptor, MacProfile,
-                           check_value, ops_from_macs, seq)
+                           check_value, declare, dump_fields, ops_from_macs, seq)
 
 THROUGHPUT_TOL = 0.005
 ENERGY_TOL = 0.02
@@ -107,9 +107,6 @@ class CheckResult:
         mark = "PASS" if self.passed else "FAIL"
         res = f" residual={self.residual:.4g}" if self.residual is not None else ""
         return f"[{mark}] {self.suite}: {self.name}{res} ({self.detail})"
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def check_counting_identities(tables: dict) -> list[CheckResult]:
@@ -258,11 +255,11 @@ def check_resources(tables: dict) -> list[CheckResult]:
 @dataclass
 class WorkloadComparison:
     name: str
-    thr_full: float
-    thr_fine_only: float
-    thr_coarse_only: float
-    thr_oracle: float
-    ratio: float
+    thr_full: float = declare(None, key="thr_full_gops")
+    thr_fine_only: float = declare(None, key="thr_fine_only_gops")
+    thr_coarse_only: float = declare(None, key="thr_coarse_only_gops")
+    thr_oracle: float = declare(None, key="thr_oracle_gops")
+    ratio: float = declare(None, key="ratio_vs_oracle")
     exact_equal: bool
     nodes_search: int
     nodes_oracle: int
@@ -272,21 +269,7 @@ class WorkloadComparison:
     ordering_expected: bool
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "thr_full_gops": self.thr_full,
-            "thr_fine_only_gops": self.thr_fine_only,
-            "thr_coarse_only_gops": self.thr_coarse_only,
-            "thr_oracle_gops": self.thr_oracle,
-            "ratio_vs_oracle": self.ratio,
-            "exact_equal": self.exact_equal,
-            "nodes_search": self.nodes_search,
-            "nodes_oracle": self.nodes_oracle,
-            "node_ratio": self.node_ratio,
-            "ordering_ok": self.ordering_ok,
-            "equality_expected": self.equality_expected,
-            "ordering_expected": self.ordering_expected,
-        }
+        return dump_fields(self)
 
 
 def compare_workloads(
@@ -369,7 +352,7 @@ class Report:
         return out
 
     def to_dict(self) -> dict:
-        return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
+        return {"passed": self.passed, "checks": [dump_fields(c) for c in self.checks]}
 
 
 def run_reference_checks(tables: dict, workload_suite: dict | None = None) -> Report:

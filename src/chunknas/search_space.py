@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from typing import Any, Callable, Iterator, Sequence
 
@@ -131,9 +131,10 @@ def check_value(value, spec, where: str):
     return spec.norm(value)
 
 
-def declare(kind: Kind, default=MISSING, key: str | None = None):
-    """A dataclass field held to ``kind`` by ``check_fields``; ``key`` names
-    it in JSON documents and errors where that differs from the field name."""
+def declare(kind: Kind | None, default=MISSING, key: str | None = None):
+    """A dataclass field held to ``kind`` by ``check_fields`` (``None``: not
+    checked); ``key`` names it in JSON documents and errors where that
+    differs from the field name."""
     return field(default=default, metadata={"kind": kind, "key": key})
 
 
@@ -142,21 +143,30 @@ def _key(f) -> str:
 
 
 def check_fields(obj, prefix: str = "") -> None:
-    """Hold every declared field of a dataclass to its kind, in field order,
-    and store the normalised value; ValueError names the first that fails."""
+    """Hold every field of a dataclass declared with a kind to it, in field
+    order, and store the normalised value; ValueError names the first that
+    fails."""
     for f in fields(obj):
-        if "kind" in f.metadata:
+        if f.metadata.get("kind") is not None:
             value = check_value(getattr(obj, f.name), f.metadata["kind"], prefix + _key(f))
             object.__setattr__(obj, f.name, value)
 
 
 def dump_fields(obj) -> dict:
-    """The declared fields as a JSON object under their keys."""
-    return {_key(f): _jsonable(getattr(obj, f.name)) for f in fields(obj) if "kind" in f.metadata}
+    """Every field of a dataclass as a JSON object, in field order, under
+    its key: a nested dataclass becomes an object, a tuple a list, a layer
+    type its short code and any other enum its name."""
+    return {_key(f): _jsonable(getattr(obj, f.name)) for f in fields(obj)}
 
 
 def _jsonable(v):
-    return [getattr(x, "short", x) for x in v] if isinstance(v, tuple) else v
+    if is_dataclass(v):
+        return dump_fields(v)
+    if isinstance(v, tuple):
+        return [_jsonable(x) for x in v]
+    if isinstance(v, LayerType):
+        return v.short
+    return v.name if isinstance(v, Enum) else v
 
 
 def load_fields(cls, d: dict, **given):
@@ -205,7 +215,7 @@ class SearchSpace:
         check_fields(self)
 
     def to_dict(self) -> dict:
-        return {**dump_fields(self), "stages": [dump_fields(s) for s in self.stages]}
+        return dump_fields(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SearchSpace":
@@ -244,20 +254,10 @@ class SubNetwork:
         vals = [int(v) for v in vals]
         if len(vals) < 7:
             raise ValueError(f"flat genome too short: {len(vals)} values")
-        n_stages = (len(vals) - 2) // 5
-        if len(vals) != 2 + 5 * n_stages:
+        if (len(vals) - 2) % 5:
             raise ValueError(f"flat genome length {len(vals)} does not match 2 + 5*stages")
-        stages = tuple(
-            StageGene(
-                c=vals[1 + 5 * i],
-                e=vals[2 + 5 * i],
-                k=vals[3 + 5 * i],
-                t=LayerType.from_code(vals[4 + 5 * i]),
-                n=vals[5 + 5 * i],
-            )
-            for i in range(n_stages)
-        )
-        return cls(first_conv_c=vals[0], stages=stages, mbpool_c=vals[-1])
+        vals[4:-1:5] = [LayerType.from_code(v) for v in vals[4:-1:5]]
+        return _assemble(vals)
 
     def digest(self) -> int:
         """Stable 64-bit identity for caching and per-candidate seeding."""
@@ -494,16 +494,15 @@ def _values(net: SubNetwork) -> list:
     return values
 
 
-def _assemble(space: SearchSpace, values: list) -> SubNetwork:
-    stages = tuple(
-        StageGene(*values[1 + 5 * i : 6 + 5 * i]) for i in range(len(space.stages))
-    )
+def _assemble(values: list) -> SubNetwork:
+    """A genome from its values in the order of ``_fields``."""
+    stages = tuple(StageGene(*values[i : i + 5]) for i in range(1, len(values) - 1, 5))
     return SubNetwork(first_conv_c=values[0], stages=stages, mbpool_c=values[-1])
 
 
 def sample_random(space: SearchSpace, rng: random.Random) -> SubNetwork:
     values = [rng.choice(choices) for _, _, choices in _fields(space)]
-    return _assemble(space, values)
+    return _assemble(values)
 
 
 def mutate(space: SearchSpace, net: SubNetwork, prob: float, rng: random.Random) -> SubNetwork:
@@ -517,16 +516,16 @@ def mutate(space: SearchSpace, net: SubNetwork, prob: float, rng: random.Random)
             alternatives = [c for c in choices if c != value]
             value = rng.choice(alternatives)
         out.append(value)
-    return _assemble(space, out)
+    return _assemble(out)
 
 
 def crossover(space: SearchSpace, a: SubNetwork, b: SubNetwork, rng: random.Random) -> SubNetwork:
     """Uniform crossover: each field inherited from either parent with prob 1/2."""
     out = [x if rng.random() < 0.5 else y for x, y in zip(_values(a), _values(b))]
-    return _assemble(space, out)
+    return _assemble(out)
 
 
 def largest_genome(space: SearchSpace) -> SubNetwork:
     values = [max(choices) if not isinstance(choices[0], LayerType) else choices[0]
               for _, _, choices in _fields(space)]
-    return _assemble(space, values)
+    return _assemble(values)

@@ -378,7 +378,7 @@ def smallest_genome(space):
     """Smallest choice of every numeric field, first listed layer type."""
     values = [min(choices) if not isinstance(choices[0], LayerType) else choices[0]
               for _, _, choices in _fields(space)]
-    return _assemble(space, values)
+    return _assemble(values)
 
 
 def exhaustive_oracle(net, space, budget, coeffs, grid, node_cap=DEFAULT_NODE_CAP):

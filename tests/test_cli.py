@@ -82,11 +82,22 @@ class TestKendall:
         doc = json.loads(capsys.readouterr().out)
         assert doc["kendall_tau"] == -1.0
 
-    def test_bad_cell(self, tmp_path, capsys):
+    @pytest.mark.parametrize("content,where", [
+        pytest.param("1,2\nbad,3\n", "line 2", id="non-numeric"),
+        # Once a ValueError traceback.
+        pytest.param("x,y\n", "two rows", id="header-only"),
+        # Once an AllTied traceback.
+        pytest.param("1,2\n1,3\n", "tied", id="all-tied"),
+        # Once accepted: tau 1 for nan, 0.333 and a RuntimeWarning for inf.
+        pytest.param("1,2\nnan,3\n4,5\n", "line 2", id="nan"),
+        pytest.param("1,2\ninf,3\n4,5\n", "line 2", id="inf"),
+    ])
+    def test_bad_cell(self, tmp_path, capsys, content, where):
         f = tmp_path / "k.csv"
-        f.write_text("1,2\nbad,3\n")
+        f.write_text(content)
         assert main(["kendall", str(f)]) == 2
-        assert "line 2" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and where in err
 
 
 class TestSearchAccel:

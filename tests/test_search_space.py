@@ -1,7 +1,10 @@
+import json
 import random
 
 import pytest
 
+from chunknas.accel import AcceleratorConfig, ChunkConfig, Dataflow, LoopOrder, PerfReport
+from chunknas.reproduce import CheckResult, Report
 from chunknas.search_space import (
     LayerType,
     MembershipViolation,
@@ -281,3 +284,55 @@ class TestSerialization:
     def test_flat_length(self, space):
         net = sample_random(space, random.Random(23))
         assert len(net.to_flat()) == 2 + 5 * 7
+
+
+def _same_json(doc, expected):
+    """Equal, with the same key order and lists where the literal has them."""
+    assert doc == expected
+    assert json.dumps(doc) == json.dumps(expected)
+
+
+class TestRecordShapes:
+    """The JSON shape of the records the CLI writes, pinned as literals."""
+
+    def test_accelerator_config(self):
+        cfg = AcceleratorConfig(
+            ChunkConfig(LayerType.CONV, 8, Dataflow(LoopOrder.WS, (1, 2, 4, 8, 8))),
+            ChunkConfig(LayerType.SHIFT, 4, Dataflow(LoopOrder.OS, (1, 4, 4, 2, 2))),
+            ChunkConfig(LayerType.ADDER, 2, Dataflow(LoopOrder.RS, (1, 1, 2, 4, 4))),
+            gb_bytes=4096,
+        )
+        _same_json(cfg.to_dict(), {
+            "chunk_c": {"chunk_kind": "C", "pe_count": 8,
+                        "dataflow": {"loop_order": "WS", "tiling": [1, 2, 4, 8, 8]}},
+            "chunk_s": {"chunk_kind": "S", "pe_count": 4,
+                        "dataflow": {"loop_order": "OS", "tiling": [1, 4, 4, 2, 2]}},
+            "chunk_a": {"chunk_kind": "A", "pe_count": 2,
+                        "dataflow": {"loop_order": "RS", "tiling": [1, 1, 2, 4, 4]}},
+            "gb_bytes": 4096,
+        })
+
+    def test_perf_report(self):
+        report = PerfReport(
+            latency_s=0.002, throughput_gops=1.5, fps=500.0, gops_per_klut=0.25,
+            gops_per_dsp=0.375, energy_mj=0.8, dsp=4, lut=6000, bram_blocks=2.5,
+            per_chunk_time_s=(0.002, 0.001, 0.0005), ops=OpCounts(1.0, 0.5, 1.5),
+        )
+        _same_json(report.to_dict(), {
+            "latency_s": 0.002, "throughput_gops": 1.5, "fps": 500.0, "gops_per_klut": 0.25,
+            "gops_per_dsp": 0.375, "energy_mj": 0.8, "dsp": 4, "lut": 6000, "bram_blocks": 2.5,
+            "per_chunk_time_s": [0.002, 0.001, 0.0005],
+            "ops_m": {"mults": 1.0, "shifts": 0.5, "adds": 1.5},
+        })
+
+    def test_check_results(self):
+        report = Report([
+            CheckResult("resources", "dsp_packing", True, "8 conv PEs -> 4 DSP"),
+            CheckResult("oracle-ratio", "w", False, "ratio 0.9", 0.1),
+        ])
+        _same_json(report.to_dict(), {"passed": False, "checks": [
+            {"suite": "resources", "name": "dsp_packing", "passed": True,
+             "detail": "8 conv PEs -> 4 DSP", "residual": None},
+            {"suite": "oracle-ratio", "name": "w", "passed": False, "detail": "ratio 0.9",
+             "residual": 0.1},
+        ]})
