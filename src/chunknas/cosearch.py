@@ -221,8 +221,11 @@ def eq9_pe_init(macs: MacProfile, pe_c: int) -> tuple[float, float, int, int]:
     """Balanced PE allocation: pe per chunk proportional to its MAC share.
 
     Returns (raw shift, raw adder, rounded shift, rounded adder); rounded
-    values are clamped to >= 1. A workload with no conv MACs falls back to
-    proportions over the multiplication-free work alone.
+    values are clamped to >= 1. A profile with no conv MACs falls back to
+    proportions over the multiplication-free work alone. The search sizes a
+    conv-free workload with ``free_lut_pe_init`` instead: its conv chunk is
+    one idle PE, and proportions of one PE leave the shift and adder chunks
+    1-2 PEs.
     """
     if macs.conv > 0:
         raw_s = pe_c * macs.shift / macs.conv
@@ -232,6 +235,15 @@ def eq9_pe_init(macs: MacProfile, pe_c: int) -> tuple[float, float, int, int]:
         raw_s = pe_c * macs.shift / rest if rest else 0.0
         raw_a = pe_c * macs.adder / rest if rest else 0.0
     return raw_s, raw_a, max(1, round(raw_s)), max(1, round(raw_a))
+
+
+def free_lut_pe_init(macs: MacProfile, avail_lut: int) -> tuple[int, int]:
+    """Shift and adder PE counts of a conv-free workload: the LUTs left
+    beside the idle conv PE, split by the two chunks' MAC shares; each
+    count is at least 1."""
+    rest = max(1, macs.shift + macs.adder)
+    return tuple(max(1, int(avail_lut * m / rest / LUT_PER_PE[kind]))
+                 for kind, m in ((LayerType.SHIFT, macs.shift), (LayerType.ADDER, macs.adder)))
 
 
 def _clamp_pair_to_lut(pe_s: int, pe_a: int, avail_lut: int) -> tuple[int, int]:
@@ -258,7 +270,8 @@ def fine_search(
 ) -> AccelSearchResult:
     """Phase two: size and map the shift/adder chunks, then shrink the buffer.
 
-    PE counts start at the MAC-balanced allocation, clamped to the LUT
+    PE counts start at the MAC-balanced allocation (for a conv-free
+    workload, the free LUTs split by MAC share), clamped to the LUT
     budget. With ``search`` on they are refined over a multiplicative grid
     and each candidate count gets a full dataflow sweep; with it off the
     balanced counts keep the hand dataflow. The winner minimizes the
@@ -273,7 +286,11 @@ def fine_search(
         raise InfeasibleBudget(
             f"LUT budget {budget.lut_total} cannot host minimal chunks beside {pe_c} conv PEs"
         )
-    _, _, init_s, init_a = eq9_pe_init(count_macs(layers), pe_c)
+    macs = count_macs(layers)
+    if macs.conv:
+        _, _, init_s, init_a = eq9_pe_init(macs, pe_c)
+    else:
+        init_s, init_a = free_lut_pe_init(macs, avail)
     init_s, init_a = _clamp_pair_to_lut(init_s, init_a, avail)
 
     steps = FINETUNE_STEPS if search else (1.0,)

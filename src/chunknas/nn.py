@@ -13,20 +13,28 @@ norm (no affine) and ReLU except the last one.
 Activations are channels-last, (B, H, W, C): ``feature_forward`` transposes
 its NCHW inputs once. A pointwise conv or shift layer is one product per
 sample with the drawn weight, written straight into the channels-last
-output; an adder layer takes the cdist of its (B*H*W, C) rows in blocks of
-``ADDER_ROW_BLOCK`` rows, each negated straight into the output. A depthwise
-layer adds its taps one by one where they read the input; padding adds
-nothing to conv and shift, and a per-layer table of sum |w| to the adder.
-Batch norm works in place on the fresh layer output, so a layer holds one
-activation-sized array; it keeps float32 arrays but takes float64
+output; an adder layer takes the L1 distances of its (B*H*W, C) rows to the
+weight rows in blocks of ``ADDER_ROW_BLOCK`` rows, each negated straight
+into the output. The distances come from scipy's compiled cityblock kernel,
+the one ``cdist(..., "cityblock")`` calls, loaded from its extension file
+at the first adder forward: importing ``scipy.spatial`` instead would load
+scipy.linalg, scipy.sparse and a second BLAS, 38 MB against 0.6 MB. A
+depthwise layer adds its taps one by one where they read the input; padding
+adds nothing to conv and shift, and a per-layer table of sum |w| to the
+adder. Batch norm works in place on the fresh layer output, so a layer holds
+one activation-sized array; it keeps float32 arrays but takes float64
 statistics, without which float32 Zen scores strayed from float64 ones by
 up to 45.6."""
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -45,9 +53,53 @@ from .search_space import (
 BN_EPS = 1e-5
 SHIFT_P_MIN = -6
 SHIFT_P_MAX = 1
-# Rows per cdist call of a dense adder layer: its float64 working set is one
-# block of distances, ADDER_ROW_BLOCK x out_channels, beside the output.
+# Rows per cityblock call of a dense adder layer: its float64 working set is
+# one block of distances, ADDER_ROW_BLOCK x out_channels, beside the output.
 ADDER_ROW_BLOCK = 512
+
+
+# scipy's compiled cityblock cdist, loaded at the first adder forward.
+_cityblock = None
+_cityblock_lock = threading.Lock()
+
+
+def _load_cityblock():
+    """The cityblock kernel, loaded once even when the first adder forwards
+    of several pool threads ask for it at once."""
+    global _cityblock
+    with _cityblock_lock:
+        if _cityblock is None:
+            module = _distance_extension()
+            _cityblock = getattr(module, "cdist_cityblock", None) or _public_cityblock()
+    return _cityblock
+
+
+def _distance_extension():
+    """scipy's ``spatial._distance_pybind`` extension, executed from its file
+    without running ``scipy/__init__.py`` or ``scipy/spatial/__init__.py``
+    and without an entry in ``sys.modules``; None if it is not there."""
+    scipy_spec = importlib.util.find_spec("scipy")
+    for root in (scipy_spec and scipy_spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "spatial", "_distance_pybind" + suffix)
+            if not os.path.isfile(path):
+                continue
+            spec = importlib.util.spec_from_file_location("scipy.spatial._distance_pybind", path)
+            try:
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+            except ImportError:
+                return None
+            return module
+    return None
+
+
+def _public_cityblock():
+    """Fallback for a scipy without the private extension: the public cdist,
+    which dispatches to the same kernel where there is one."""
+    from scipy.spatial.distance import cdist
+
+    return functools.partial(cdist, metric="cityblock")
 
 
 class ShapeMismatch(ValueError):
@@ -143,22 +195,23 @@ class HybridLayer:
     def _forward_dense(self, x: np.ndarray) -> np.ndarray:
         # Conv, shift: W times each sample's rows, transposed, into a
         # transposed output view (one tall, thin product of all rows is slow
-        # under multithreaded BLAS in a thread pool). Adder: cdist of the
-        # rows, imported on first use so accelerator-only runs skip scipy,
-        # one block of rows at a time against the float64 weight, each
-        # block's negation rounded straight into the output. Rows are
-        # independent and rounding is symmetric in sign, so the bits equal
-        # those of one cdist of all rows, negated after the cast.
+        # under multithreaded BLAS in a thread pool). Adder: scipy's
+        # cityblock kernel, loaded on first use so accelerator-only runs
+        # load no scipy code, on one block of rows at a time against the
+        # float64 weight. The kernel converts the rows to float64 itself,
+        # as under cdist, and each block's negation is rounded straight
+        # into the output. Rows are independent and rounding is symmetric
+        # in sign, so the bits equal those of one cdist of all rows,
+        # negated after the cast.
         b, o = x.shape[0], self.desc.out_channels
         rows, oh, ow = _rows(x, self.desc.kernel, self.desc.stride)
         w = self.weight.reshape(o, -1)
         if self.desc.op_type is LayerType.ADDER:
-            from scipy.spatial.distance import cdist
-
+            cityblock = _cityblock or _load_cityblock()
             w = w.astype(np.float64)
             out = np.empty((rows.shape[0], o), dtype=x.dtype)
             for i in range(0, rows.shape[0], ADDER_ROW_BLOCK):
-                np.negative(cdist(rows[i:i + ADDER_ROW_BLOCK], w, metric="cityblock"),
+                np.negative(cityblock(rows[i:i + ADDER_ROW_BLOCK], w),
                             out=out[i:i + ADDER_ROW_BLOCK], casting="same_kind")
         else:
             out = np.empty((b, oh * ow, o), dtype=np.result_type(x, w))

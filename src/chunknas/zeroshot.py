@@ -132,13 +132,16 @@ def combined_ranks(scores: Sequence[tuple[float, float]]) -> list[int]:
 
 
 def kendall_tau(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Tie-corrected tau-b: (C - D) / sqrt((C+D+Tx) * (C+D+Ty))."""
+    """Tie-corrected tau-b: (C - D) / sqrt((C+D+Tx) * (C+D+Ty)). NaN and
+    inf values are a ValueError: a NaN would drop out of both pair counts."""
     if len(xs) != len(ys):
         raise ValueError("sequences must have equal length")
     if len(xs) < 2:
         raise ValueError("need at least two observations")
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("values must be finite")
     dx = np.sign(x[:, None] - x[None, :])
     dy = np.sign(y[:, None] - y[None, :])
     iu = np.triu_indices(len(x), k=1)

@@ -26,6 +26,7 @@ from chunknas.cosearch import (
     effective_budget,
     eq9_pe_init,
     fine_search,
+    free_lut_pe_init,
     manual_dataflow,
     max_conv_pes,
     oracle_layers,
@@ -141,6 +142,13 @@ class TestEq9Init:
     def test_all_conv_clamps_to_one(self):
         macs = MacProfile(10_000_000, 0, 0)
         assert eq9_pe_init(macs, 1090)[2:] == (1, 1)
+
+    def test_conv_free_splits_free_luts_by_mac_share(self):
+        # 3:1 shift:adder MACs over 11500 free LUTs, 34 and 29 LUTs per PE.
+        assert free_lut_pe_init(MacProfile(0, 300, 100), 11500) == (253, 99)
+        assert free_lut_pe_init(MacProfile(0, 0, 5), 11500) == (1, 396)
+        assert free_lut_pe_init(MacProfile(0, 5, 0), 20) == (1, 1)
+        assert free_lut_pe_init(MacProfile(0, 0, 0), 11500) == (1, 1)
 
     def test_random_genomes_within_rounding(self):
         space = default_space()

@@ -3,8 +3,12 @@ every search variant returns a design that fits its budget with a minimal
 buffer, or fails with ``InfeasibleBudget``; the full search is feasible
 whenever an ablation is, and at least as fast; the exhaustive oracle,
 restricted to the PE counts the full search chose, picks the same design;
-and the per-chunk dataflow table equals a brute-force sweep over the scalar
-cost model at every PE count."""
+on the bundled budget and grid the full search reaches 0.95 of the oracle's
+throughput on conv-free workloads, and a seeded corpus of mixed workloads
+states its tail; and the per-chunk dataflow table equals a brute-force sweep
+over the scalar cost model at every PE count."""
+
+import random
 
 import pytest
 
@@ -25,6 +29,7 @@ from chunknas.accel import (
     min_gb_size,
 )
 from chunknas.cosearch import oracle_layers, search_accelerator_layers
+from chunknas.refdata import bundled_workloads
 from chunknas.search_space import LayerDescriptor, LayerType
 from oracles import ref_best_dataflow, ref_dataflows, ref_tilings
 from test_cosearch import COEFFS
@@ -33,8 +38,8 @@ CHANNELS = (1, 2, 3, 4, 8, 16, 32)
 
 
 @st.composite
-def layer(draw) -> LayerDescriptor:
-    kind = draw(st.sampled_from(list(LayerType)))
+def layer(draw, kinds=tuple(LayerType)) -> LayerDescriptor:
+    kind = draw(st.sampled_from(kinds))
     cin = draw(st.sampled_from(CHANNELS))
     depthwise = draw(st.booleans())
     cout = cin if depthwise else draw(st.sampled_from(CHANNELS))
@@ -91,6 +96,50 @@ def test_oracle_at_chosen_pe_counts_agrees(layers, budget):
     oracle = oracle_layers(layers, budget, COEFFS,
                            {"conv": [c], "shift": [s], "adder": [a]})
     assert oracle.config == full.config
+
+
+def _bundled_ratio(layers) -> float:
+    """Full-search over oracle throughput at the bundled suite's budget and
+    grid."""
+    suite = bundled_workloads()
+    budget = HardwareBudget.from_dict(suite["budget"])
+    full = search_accelerator_layers(layers, budget, COEFFS)
+    oracle = oracle_layers(layers, budget, COEFFS, suite["grid"])
+    return full.report.throughput_gops / oracle.report.throughput_gops
+
+
+@pytest.mark.filterwarnings("ignore::chunknas.cosearch.NoConvLayers")
+@given(st.lists(layer(kinds=(LayerType.SHIFT, LayerType.ADDER)), min_size=1, max_size=6))
+def test_conv_free_full_search_near_oracle(layers):
+    # A conv-free workload's shift and adder chunks share the free LUTs; sized
+    # from the idle conv PE instead they got 1-2 PEs, a median 0.09 of the
+    # oracle's throughput.
+    assert _bundled_ratio(layers) >= 0.95
+
+
+def _random_layer(rng: random.Random) -> LayerDescriptor:
+    """A draw from the distribution of ``layer()``, all three kinds."""
+    kind = rng.choice(list(LayerType))
+    cin = rng.choice(CHANNELS)
+    depthwise = rng.random() < 0.5
+    cout = cin if depthwise else rng.choice(CHANNELS)
+    size = rng.randint(1, 16)
+    return LayerDescriptor(kind, cin, cout, rng.choice((1, 3, 5, 7)), rng.choice((1, 2)),
+                           cin if depthwise else 1, size, size)
+
+
+@pytest.mark.filterwarnings("ignore::chunknas.cosearch.NoConvLayers")
+def test_mixed_corpus_tail():
+    # Mixed workloads are no 0.95 property: the coarse phase fixes conv at
+    # the DSP maximum. Measured over these 4000 workloads: minimum 0.8865
+    # (workload 3265), 1 below 0.95, 3 below 0.99; over 10000 of the same
+    # draws, 3 fall below 0.95. A lower minimum or a longer tail fails.
+    rng = random.Random(0)
+    ratios = [_bundled_ratio([_random_layer(rng) for _ in range(rng.randint(1, 6))])
+              for _ in range(4000)]
+    assert min(ratios) >= 0.886
+    assert sum(r < 0.95 for r in ratios) <= 1
+    assert sum(r < 0.99 for r in ratios) <= 3
 
 
 @st.composite

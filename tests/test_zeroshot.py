@@ -277,3 +277,14 @@ class TestKendallTau:
     def test_rejects_short_input(self):
         with pytest.raises(ValueError):
             kendall_tau([1.0], [2.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_rejects_non_finite(self, bad, side):
+        # A NaN used to drop out of both pair counts: [1, nan, 4] against
+        # [2, 3, 5] gave 1.0.
+        xs, ys = [1.0, bad, 4.0], [2.0, 3.0, 5.0]
+        if side == "y":
+            xs, ys = ys, xs
+        with pytest.raises(ValueError, match="finite"):
+            kendall_tau(xs, ys)
