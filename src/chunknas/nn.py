@@ -5,10 +5,13 @@ plan of its feature layers (no classifier head) and holds no weights.
 ``feature_forward`` runs all its inputs in lockstep, layer by layer: it
 draws each layer's float32 weights just before the layer runs (Gaussian for
 conv/adder, snapped to signed powers of two for shift), applies them to
-every input and drops them as the next layer is drawn, so a layer runs with
-only its own weights alive. The draws come from one generator in layer
-order, so every forward of a net sees the same weights. Every layer output runs through per-batch batch
-norm (no affine) and ReLU except the last one.
+every input and drops them before the next layer is drawn, so only one
+layer's weights are ever alive. The draws come from one generator in layer
+order, so every forward of a net sees the same weights. Every layer output
+runs through per-batch batch norm (no affine) and ReLU except the last one.
+Per layer, a forward holds each input's activations (and a block's
+residual input), the one drawn layer, and for the Zen statistics one
+float64 number per sample.
 
 Activations are channels-last, (B, H, W, C): ``feature_forward`` transposes
 its NCHW inputs once. A pointwise conv or shift layer is one product per
@@ -21,10 +24,11 @@ at the first adder forward: importing ``scipy.spatial`` instead would load
 scipy.linalg, scipy.sparse and a second BLAS, 38 MB against 0.6 MB. A
 depthwise layer adds its taps one by one where they read the input; padding
 adds nothing to conv and shift, and a per-layer table of sum |w| to the
-adder. Batch norm works in place on the fresh layer output, so a layer holds
-one activation-sized array; it keeps float32 arrays but takes float64
-statistics, without which float32 Zen scores strayed from float64 ones by
-up to 45.6."""
+adder. Batch norm works in place on the fresh layer output and squares its
+residuals a block of ``BN_SQUARE_BLOCK`` elements of whole samples at a
+time, so a layer holds one activation-sized array per input; it keeps
+float32 arrays but takes float64 statistics, without which float32 Zen
+scores strayed from float64 ones by up to 45.6."""
 
 from __future__ import annotations
 
@@ -56,6 +60,9 @@ SHIFT_P_MAX = 1
 # Rows per cityblock call of a dense adder layer: its float64 working set is
 # one block of distances, ADDER_ROW_BLOCK x out_channels, beside the output.
 ADDER_ROW_BLOCK = 512
+# Elements of float32 squares per block of whole samples in batch norm: its
+# temporary holds one block, or one sample where a sample is larger.
+BN_SQUARE_BLOCK = 1 << 16
 
 
 # scipy's compiled cityblock cdist, loaded at the first adder forward.
@@ -294,6 +301,7 @@ class HybridNet:
             if d.op_type is LayerType.SHIFT:
                 w = quantize_shift(w, SHIFT_P_MIN, SHIFT_P_MAX)
             yield HybridLayer(d, w)
+            del w  # freed before the next draw, not when that draw rebinds it
 
     def feature_forward(self, x: np.ndarray, bn_stats: list | None = None) -> list[np.ndarray]:
         """Run every layer (the zero-shot extractor) on N NCHW batches in
@@ -302,8 +310,8 @@ class HybridNet:
         its own arrays, batch norm and residual sums, so its output, the last
         raw layer output channels-last (B, OH, OW, C), equals that of a
         forward on it alone. With ``bn_stats`` given, input 0's batch norms
-        append their per-sample spatial variance per channel,
-        pre-normalization, (B, C) float64."""
+        append, per layer, each sample's spatial variance averaged over the
+        channels, pre-normalization: (B,) float64."""
         res = self.input_resolution
         if x.ndim != 5 or x.shape[2:] != (self.in_channels, res, res):
             raise ShapeMismatch(
@@ -315,7 +323,8 @@ class HybridNet:
         block_starts = {b.first_layer: b for b in self.blocks}
         saved = end = None
         last = len(self.layers) - 1
-        for idx, layer in enumerate(self.draw_layers()):
+        idx = 0
+        for layer in self.draw_layers():
             blk = block_starts.get(idx)
             if blk is not None and blk.residual_channels:
                 saved, end = list(xs), blk.first_layer + blk.num_layers - 1
@@ -330,6 +339,9 @@ class HybridNet:
                 for a, s in zip(xs, saved):
                     a += s
                 saved = end = None
+            # Unbound before the next draw; enumerate would keep it alive through it.
+            del layer
+            idx += 1
         if not all(np.all(np.isfinite(a)) for a in xs):
             raise NonFiniteScore("non-finite activations")
         return xs
@@ -340,9 +352,11 @@ def _batch_norm(x: np.ndarray, sample_var_sink: list | None) -> np.ndarray:
     normalised in place: callers pass a fresh layer output and get it back
     overwritten. Each sample's spatial rows, then the batch, are reduced
     into float64 means and variances; arrays stay in x's dtype. x - m_b (m_b
-    rounded to that dtype) gives the per-sample variances and becomes the
-    output ((x - m_b) + (m_b - m)) / sqrt(var + eps), so a large mean (adder
-    outputs) is subtracted once, from values close to it."""
+    rounded to that dtype) gives the per-sample variances, squared in blocks
+    of whole samples, and becomes the output ((x - m_b) + (m_b - m)) /
+    sqrt(var + eps), so a large mean (adder outputs) is subtracted once,
+    from values close to it. The sink gets each sample's variance averaged
+    over channels, (B,) float64."""
     b, c = x.shape[0], x.shape[-1]
     d = x.reshape(b, -1, c)
     n = d.shape[1]
@@ -350,12 +364,15 @@ def _batch_norm(x: np.ndarray, sample_var_sink: list | None) -> np.ndarray:
     sample_mean = np.add.reduce(d, axis=1, dtype=np.float64) / n
     centre = sample_mean.astype(x.dtype)
     d -= centre[:, None]
-    sample_var = np.add.reduce(np.square(d), axis=1, dtype=np.float64) / n
+    sample_var = np.empty((b, c))
+    step = max(1, BN_SQUARE_BLOCK // d[0].size)
+    for i in range(0, b, step):
+        np.add.reduce(np.square(d[i:i + step]), axis=1, dtype=np.float64, out=sample_var[i:i + step])
+    sample_var /= n
     mean = np.add.reduce(sample_mean) / b
     var = np.add.reduce(sample_var + np.square(sample_mean - mean)) / b
     if sample_var_sink is not None:
-        # Per-sample spatial variance per channel, pre-normalization: (B, C).
-        sample_var_sink.append(sample_var)
+        sample_var_sink.append(sample_var.mean(axis=1))
     d += (centre - mean).astype(x.dtype)[:, None]
     d /= np.sqrt(var + BN_EPS).astype(x.dtype)
     return d.reshape(x.shape)

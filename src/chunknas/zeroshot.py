@@ -117,8 +117,8 @@ def _zen_from_draws(net: HybridNet, draws, alpha: float) -> float | None:
 def _bn_log_term(sample_vars: list[np.ndarray]) -> float:
     total = 0.0
     for var in sample_vars:
-        # var has shape (batch, channels); one log term per sample.
-        total += float(np.sum(0.5 * np.log(var.mean(axis=1) + BN_EPS)))
+        # var has shape (batch,), each sample's variance averaged over channels.
+        total += float(np.sum(0.5 * np.log(var + BN_EPS)))
     return total
 
 

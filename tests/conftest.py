@@ -1,6 +1,11 @@
 import os
 import sys
 
+# One BLAS thread, set before numpy loads: the tests that score on their
+# own thread pools would otherwise run pool threads x BLAS threads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 sys.path.insert(0, os.path.dirname(__file__))
 
 try:

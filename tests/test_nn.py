@@ -222,8 +222,9 @@ class TestLayerSemantics:
     @pytest.mark.parametrize("call", ["adder_pw", "batch_norm"])
     def test_peak_below_one_and_a_half_activations(self, call):
         # The dense adder holds one block of float64 distances beside its
-        # output, and batch norm overwrites its input: neither holds a
-        # second activation-sized array.
+        # output, and batch norm overwrites its input and squares its
+        # residuals a block of samples at a time: neither holds a second
+        # activation-sized array.
         rng = np.random.default_rng(0)
         if call == "adder_pw":
             desc = LayerDescriptor(LayerType.ADDER, 16, 96, 1, 1, 1, 32, 32)
@@ -233,6 +234,7 @@ class TestLayerSemantics:
         else:
             xs = [rng.standard_normal((16, 16, 16, 96), dtype=np.float32) for _ in range(2)]
             run, nbytes = (lambda: nn._batch_norm(xs.pop(), None)), xs[0].nbytes
+        bound = {"adder_pw": 1.5, "batch_norm": 0.25}[call]
         run()  # warm-up: imports scipy
         tracemalloc.start()
         try:
@@ -240,7 +242,7 @@ class TestLayerSemantics:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * nbytes, (peak, nbytes)
+        assert peak < bound * nbytes, (peak, nbytes)
 
     def test_shape_mismatch(self):
         desc = LayerDescriptor(LayerType.CONV, 3, 4, 3, 1, 1, 8, 8)
@@ -319,7 +321,7 @@ class TestInstantiate:
         n_feature_layers = len(h.layers)
         assert len(stats) == n_feature_layers - 1  # input 0 only, no BN on the last layer
         for var in stats:
-            assert var.shape[0] == 4
+            assert var.shape == (4,)
             assert np.all(var >= 0)
         # The statistics live in the caller's list, not on the net, and an
         # input's output does not depend on the inputs beside it.
@@ -377,6 +379,28 @@ class TestInstantiate:
             tracemalloc.stop()
         assert zen is not None
         assert peak < 0.5 * weight_bytes, (peak, weight_bytes)
+
+    def test_one_layer_of_weights_alive_at_a_time(self):
+        # Three 1x1 conv 1024->1024 layers at resolution 1: the weights
+        # (4 MB a layer) dwarf the activations, so a peak near two layers
+        # means the previous layer outlived the next draw.
+        desc = LayerDescriptor(LayerType.CONV, 1024, 1024, 1, 1, 1, 1, 1)
+        net = nn.HybridNet([nn.LayerPlan(desc)] * 3, [], 1, seed=0)
+        weight_bytes = 4 * desc.weight_count
+        x = np.random.default_rng(0).standard_normal((2, 4, 1024, 1, 1), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            net.feature_forward(x, [])
+            _, forward_peak = tracemalloc.get_traced_memory()
+            layers = net.draw_layers()
+            next(layers)  # dropped at once
+            tracemalloc.reset_peak()
+            next(layers)
+            _, draw_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert forward_peak < 1.5 * weight_bytes, (forward_peak, weight_bytes)
+        assert draw_peak < 1.5 * weight_bytes, (draw_peak, weight_bytes)
 
     def test_wrong_input_shape_raises(self):
         space = default_space()
@@ -451,7 +475,7 @@ class TestForwardParity:
                 if idx == end:
                     x = x + saved
                     saved = end = None
-            assert all(np.array_equal(a, b) for a, b in zip(stats, ref_stats))
+            assert all(np.array_equal(a, b.mean(axis=1)) for a, b in zip(stats, ref_stats))
         # Every layer kind of the space ran: conv, shift and adder, each
         # pointwise and depthwise.
         assert {t for t, dense, k in kinds if not dense} == set(LayerType)
@@ -462,8 +486,17 @@ class TestForwardParity:
         x = np.random.default_rng(7).standard_normal((2, 3, 32, 32), dtype=np.float32)
         got = [(zeroshot.zen_score(h, rng=np.random.default_rng(i)), ref_logits(h, head, x))
                for i, (h, head) in enumerate(zip(nets, heads))]
+
+        def ref_bn(x, sample_var_sink):
+            # The reference's (B, C) statistics, reduced as _batch_norm hands them over.
+            stats = []
+            y = ref_batch_norm(x, stats)
+            if sample_var_sink is not None:
+                sample_var_sink.append(stats[0].mean(axis=1))
+            return y
+
         monkeypatch.setattr(HybridLayer, "forward", ref_layer_forward)
-        monkeypatch.setattr(nn, "_batch_norm", ref_batch_norm)
+        monkeypatch.setattr(nn, "_batch_norm", ref_bn)
         for i, (h, head, (score, logits)) in enumerate(zip(nets, heads, got)):
             assert zeroshot.zen_score(h, rng=np.random.default_rng(i)) == score
             assert np.array_equal(ref_logits(h, head, x), logits)

@@ -1,9 +1,11 @@
-"""Property test of the depthwise forward: on random shapes, strides,
-kernels, dtypes and input layouts, the in-bounds tap loop of every
-depthwise layer kind (conv, shift, adder) gives the same bits and the same
-memory layout as the straightforward zero-padded formulas in ``oracles``.
-Shapes with a single output position (OH*OW = 1), where most taps read
-padding, are always among the examples."""
+"""Property tests of the forward against the straightforward formulas in
+``oracles``. On random shapes, strides, kernels, dtypes and input layouts,
+the in-bounds tap loop of every depthwise layer kind (conv, shift, adder)
+gives the same bits and the same memory layout as the zero-padded
+formulas; shapes with a single output position (OH*OW = 1), where most taps
+read padding, are always among the examples. On random batches, batch norm
+squared a block of samples at a time gives the same bits as the reference,
+in its output and in its per-sample statistics."""
 
 import numpy as np
 import pytest
@@ -11,9 +13,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
+from chunknas import nn
 from chunknas.nn import HybridLayer, quantize_shift
 from chunknas.search_space import LayerDescriptor, LayerType
-from oracles import ref_layer_forward
+from oracles import ref_batch_norm, ref_layer_forward
 
 
 def _layout(a):
@@ -59,3 +62,32 @@ def test_depthwise_forward_matches_reference(kind, batch, channels, height, widt
     assert got.dtype == want.dtype
     assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
     assert _layout(got) == _layout(want)
+
+
+@settings(max_examples=80)
+@given(
+    batch=st.integers(1, 9),
+    height=st.integers(1, 32),
+    width=st.integers(1, 32),
+    channels=st.sampled_from([1, 3, 8, 24, 72, 96]),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    offset=st.sampled_from([0.0, -40.0]),
+    seed=st.integers(0, 2 ** 16),
+)
+# Samples of 16*16*96 = 24576 elements, two to a block of 2**16: the last
+# block of an odd batch holds one sample.
+@example(batch=5, height=16, width=16, channels=96, dtype=np.float32, offset=0.0, seed=0)
+# One sample fills a block exactly.
+@example(batch=3, height=32, width=32, channels=64, dtype=np.float64, offset=-40.0, seed=1)
+# A sample larger than a block: one sample at a time.
+@example(batch=4, height=32, width=32, channels=72, dtype=np.float32, offset=-40.0, seed=2)
+def test_batch_norm_matches_reference(batch, height, width, channels, dtype, offset, seed):
+    x = np.random.default_rng(seed).standard_normal((batch, height, width, channels)).astype(dtype)
+    x += dtype(offset)  # adder outputs: a large mean, a small spread
+    ref_stats, stats = [], []
+    want = ref_batch_norm(x, ref_stats)
+    got = nn._batch_norm(x, stats)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+    assert stats[0].shape == (batch,) and stats[0].dtype == np.float64
+    assert stats[0].tobytes() == ref_stats[0].mean(axis=1).tobytes()
