@@ -319,11 +319,11 @@ def _layer_terms(g: _LayerGeom, tci, tco, th, tw, bandwidth: float):
     return _working_set(in_b, w_b, o_b), tiles, tile_macs, np.ceil(traffic / bandwidth)
 
 
-def _cycles(tiles, tile_macs, mem, pe_count):
+def _cycles(tiles, tile_macs, mem, pe_count, out=None):
     """max(compute, memory) per loop order under double buffering; compute
     is tiles times ceil(tile MACs / PE count), and ``pe_count`` may be an
     array that broadcasts against the tile terms."""
-    return np.maximum(tiles * _ceil_div(tile_macs, pe_count), mem)
+    return np.maximum(tiles * _ceil_div(tile_macs, pe_count), mem, out=out)
 
 
 def layer_latency(
@@ -355,19 +355,31 @@ def _pow2_ladder(limit: int) -> tuple[int, ...]:
     return tuple(sorted(set(vals)))
 
 
+def _tiling_ladders(layers: Sequence[LayerDescriptor]) -> tuple[tuple[int, ...], ...]:
+    """The power-of-two ladder of t_cin, t_cout, t_h and t_w up to the
+    layer set's max dims; none for an empty set."""
+    if not layers:
+        return ()
+    return (
+        _pow2_ladder(max(l.in_channels // l.groups for l in layers)),
+        _pow2_ladder(max(l.out_channels for l in layers)),
+        _pow2_ladder(max(l.out_h for l in layers)),
+        _pow2_ladder(max(l.out_w for l in layers)),
+    )
+
+
+def tiling_count(layers: Sequence[LayerDescriptor]) -> int:
+    """``len(tiling_candidates(layers))``, without building them."""
+    return math.prod(map(len, _tiling_ladders(layers)))
+
+
 def tiling_candidates(layers: Sequence[LayerDescriptor]) -> np.ndarray:
     """(A, 5) int64 array of tilings (t_n, t_cin, t_cout, t_h, t_w): the
     power-of-two ladder per dimension up to the assigned set's max dims, in
     lexicographic order."""
     if not layers:
         return np.ones((1, 5), dtype=np.int64)
-    ladders = (
-        _pow2_ladder(max(l.in_channels // l.groups for l in layers)),
-        _pow2_ladder(max(l.out_channels for l in layers)),
-        _pow2_ladder(max(l.out_h for l in layers)),
-        _pow2_ladder(max(l.out_w for l in layers)),
-    )
-    grid = np.meshgrid(*ladders, indexing="ij")
+    grid = np.meshgrid(*_tiling_ladders(layers), indexing="ij")
     out = np.ones((grid[0].size, 5), dtype=np.int64)
     for col, dim in enumerate(grid, start=1):
         out[:, col] = dim.ravel()
@@ -384,13 +396,27 @@ class ChunkEval:
 
 @dataclass
 class DataflowTable:
-    """One chunk's sweep: the best dataflow at every PE count, with the
-    (pe, loop order, tiling) candidates costed and the feasible ones among
-    them, summed over the PE counts."""
+    """One chunk's sweep: the best dataflow at every PE count it holds, with
+    the (loop order, tiling) candidates costed at each PE count and the
+    feasible ones among them. A row never depends on the other PE counts
+    swept with it, so ``restrict`` returns the table a sweep at a subset of
+    its PE counts would."""
 
     evals: dict[int, ChunkEval]
-    nodes: int
-    feasible_dataflows: int
+    nodes_per_pe: int
+    feasible_per_pe: int
+
+    @property
+    def nodes(self) -> int:
+        return self.nodes_per_pe * len(self.evals)
+
+    @property
+    def feasible_dataflows(self) -> int:
+        return self.feasible_per_pe * len(self.evals)
+
+    def restrict(self, pe_counts: Sequence[int]) -> "DataflowTable":
+        return DataflowTable({pe: self.evals[pe] for pe in pe_counts},
+                             self.nodes_per_pe, self.feasible_per_pe)
 
 
 def evaluate_dataflows(
@@ -414,7 +440,7 @@ def evaluate_dataflows(
     pes = list(pe_counts)
     if not layers:
         return DataflowTable({pe: ChunkEval(Dataflow(LoopOrder.WS, (1, 1, 1, 1, 1)), 0)
-                              for pe in pes}, len(pes), 4 * len(pes))
+                              for pe in pes}, 1, 1)
     for layer in layers:
         if layer.op_type is not kind:
             raise ValueError(f"layer {layer} assigned to chunk {kind}")
@@ -423,6 +449,7 @@ def evaluate_dataflows(
     a = len(arr)
     pe_axis = np.asarray(pes, dtype=np.int64).reshape(-1, 1, 1)
     total = np.zeros((len(pes), len(LoopOrder), a), dtype=np.float64)
+    cycles = np.empty_like(total)
     feasible = np.ones(a, dtype=bool)
     ws_max = np.zeros(a, dtype=np.float64)
     for g, count in folded.items():
@@ -430,21 +457,27 @@ def evaluate_dataflows(
         feasible &= ws <= gb_bytes
         ws_max = np.maximum(ws_max, ws)
         # Integer cycle counts: the float64 sums stay exact.
-        total += count * _cycles(*terms, pe_axis)
+        _cycles(*terms, pe_axis, out=cycles)
+        if count != 1:
+            cycles *= count
+        total += cycles
+    del cycles
     if not feasible.any():
         raise EmptyFeasibleSet(
             f"no tiling fits a {gb_bytes} B buffer for chunk {kind.short}"
         )
+    total[..., ~feasible] = np.inf
     evals = {}
-    for pe, cyc in zip(pes, np.where(feasible, total, np.inf)):
+    for pe, cyc in zip(pes, total):
         best = cyc.min()
+        # nonzero lists the ties by loop order, then tiling, and the tilings
+        # are in lexicographic order, so the first tie of least buffer
+        # demand is the pick.
         order, tile = np.nonzero(cyc == best)
-        # lexsort's last key is the primary one: buffer demand, loop order,
-        # then the tiling's columns left to right.
-        pick = np.lexsort((*arr[tile].T[::-1], order, ws_max[tile]))[0]
+        pick = ws_max[tile].argmin()
         evals[pe] = ChunkEval(Dataflow(LoopOrder(int(order[pick])), tuple(arr[tile[pick]])),
                               int(best))
-    return DataflowTable(evals, 4 * a * len(pes), 4 * int(feasible.sum()) * len(pes))
+    return DataflowTable(evals, 4 * a, 4 * int(feasible.sum()))
 
 
 def min_gb_size(cfg: AcceleratorConfig, layers: Sequence[LayerDescriptor],

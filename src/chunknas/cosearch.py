@@ -42,7 +42,7 @@ from .accel import (
     layer_latency,
     min_gb_size,
     pipeline_perf,
-    tiling_candidates,
+    tiling_count,
 )
 from .nn import NonFiniteScore, instantiate
 from .search_space import (
@@ -133,18 +133,28 @@ def _no_conv_pe(budget: HardwareBudget) -> InfeasibleBudget:
     )
 
 
+def _sweep(kind: LayerType, layers: Sequence[LayerDescriptor], pes: Sequence[int],
+           budget: HardwareBudget) -> DataflowTable:
+    """The chunk's full dataflow sweep at ``pes`` with the buffer
+    provisionally at its maximum. A buffer no dataflow fits is an
+    infeasible budget."""
+    try:
+        return evaluate_dataflows(kind, layers, pes, budget.gb_bytes_max, budget)
+    except EmptyFeasibleSet as exc:
+        raise InfeasibleBudget(str(exc)) from exc
+
+
 def _chunk_evals(kind: LayerType, layers: Sequence[LayerDescriptor], pes: Sequence[int],
-                 budget: HardwareBudget, search: bool) -> DataflowTable:
-    """Per-chunk table: for every PE count, the chunk's best dataflow by full
-    sweep, or with ``search`` off the hand dataflow scored layer by layer
+                 budget: HardwareBudget, search: bool,
+                 swept: dict[LayerType, DataflowTable] | None) -> DataflowTable:
+    """Per-chunk table: for every PE count, the chunk's best dataflow, read
+    from ``swept`` (the chunk's sweep at a superset of ``pes``) or swept
+    here; or with ``search`` off the hand dataflow scored layer by layer
     (one node per PE count), with the buffer provisionally at its maximum.
     A buffer no dataflow fits is an infeasible budget."""
-    gb = budget.gb_bytes_max
     if search:
-        try:
-            return evaluate_dataflows(kind, layers, pes, gb, budget)
-        except EmptyFeasibleSet as exc:
-            raise InfeasibleBudget(str(exc)) from exc
+        return swept[kind].restrict(pes) if swept else _sweep(kind, layers, pes, budget)
+    gb = budget.gb_bytes_max
     df = manual_dataflow(layers)
     try:
         evals = {pe: ChunkEval(df, sum(layer_latency(l, ChunkConfig(kind, pe, df), gb, budget)
@@ -154,7 +164,7 @@ def _chunk_evals(kind: LayerType, layers: Sequence[LayerDescriptor], pes: Sequen
         raise InfeasibleBudget(
             f"hand dataflow tile {df.tiling} of chunk {kind.short} does not fit: {exc}"
         ) from exc
-    return DataflowTable(evals, len(pes), len(pes))
+    return DataflowTable(evals, 1, 1)
 
 
 @dataclass
@@ -199,22 +209,27 @@ def _best_design(layers: Sequence[LayerDescriptor], tables: Sequence[DataflowTab
                              sum(t.nodes for t in tables) + scanned)
 
 
+def _coarse_pe(conv_layers: Sequence[LayerDescriptor], budget: HardwareBudget) -> int:
+    """The conv chunk's PE count: the maximum, or one idle PE for a workload
+    without conv layers."""
+    return max_conv_pes(budget) if conv_layers else 1
+
+
 def coarse_search(layers: Sequence[LayerDescriptor], budget: HardwareBudget,
-                  search: bool = True) -> DataflowTable:
+                  search: bool = True,
+                  swept: dict[LayerType, DataflowTable] | None = None) -> DataflowTable:
     """Phase one: fix the conv chunk at the maximum PE count and pick its
     best dataflow by full sweep, with the buffer provisionally at maximum.
     With ``search`` off the conv chunk keeps the hand dataflow. A workload
     without conv layers gets a single idle conv PE. Returns the conv
-    chunk's one-entry table."""
+    chunk's one-entry table; ``swept`` holds chunk sweeps to read it from
+    (see ``comparison_tables``)."""
     conv_layers = split_by_type(layers)[LayerType.CONV]
-    if conv_layers:
-        pe_c = max_conv_pes(budget)
-    else:
-        if search:
-            warnings.warn("no conv layers; conv chunk degenerates to a single PE",
-                          NoConvLayers, stacklevel=2)
-        pe_c = 1
-    return _chunk_evals(LayerType.CONV, conv_layers, [pe_c], budget, search)
+    if search and not conv_layers:
+        warnings.warn("no conv layers; conv chunk degenerates to a single PE",
+                      NoConvLayers, stacklevel=2)
+    return _chunk_evals(LayerType.CONV, conv_layers, [_coarse_pe(conv_layers, budget)],
+                        budget, search, swept)
 
 
 def eq9_pe_init(macs: MacProfile, pe_c: int) -> tuple[float, float, int, int]:
@@ -261,25 +276,12 @@ def _clamp_pair_to_lut(pe_s: int, pe_a: int, avail_lut: int) -> tuple[int, int]:
     return 1 + int((pe_s - 1) * scale), 1 + int((pe_a - 1) * scale)
 
 
-def fine_search(
-    layers: Sequence[LayerDescriptor],
-    budget: HardwareBudget,
-    coarse: DataflowTable,
-    coeffs: EnergyCoeffs,
-    search: bool = True,
-) -> AccelSearchResult:
-    """Phase two: size and map the shift/adder chunks, then shrink the buffer.
-
-    PE counts start at the MAC-balanced allocation (for a conv-free
-    workload, the free LUTs split by MAC share), clamped to the LUT
-    budget. With ``search`` on they are refined over a multiplicative grid
-    and each candidate count gets a full dataflow sweep; with it off the
-    balanced counts keep the hand dataflow. The winner minimizes the
-    pipeline interval, with ties broken by fewer total LUTs, then smaller
-    PE counts.
-    """
-    by_type = split_by_type(layers)
-    (pe_c,) = coarse.evals
+def fine_pe_counts(layers: Sequence[LayerDescriptor], budget: HardwareBudget, pe_c: int,
+                   search: bool = True) -> tuple[list[int], list[int]]:
+    """The shift and adder PE counts the fine phase reads beside ``pe_c``
+    conv PEs: the MAC-balanced allocation (for a conv-free workload, the
+    free LUTs split by MAC share), clamped to the LUT budget, then times
+    every fine-tune step, or alone with ``search`` off."""
     lut_s, lut_a = LUT_PER_PE[LayerType.SHIFT], LUT_PER_PE[LayerType.ADDER]
     avail = budget.lut_total - budget.lut_overhead - LUT_PER_PE[LayerType.CONV] * pe_c
     if avail < lut_s + lut_a:
@@ -291,13 +293,33 @@ def fine_search(
         _, _, init_s, init_a = eq9_pe_init(macs, pe_c)
     else:
         init_s, init_a = free_lut_pe_init(macs, avail)
-    init_s, init_a = _clamp_pair_to_lut(init_s, init_a, avail)
-
     steps = FINETUNE_STEPS if search else (1.0,)
+    return tuple(sorted({max(1, round(init * m)) for m in steps})
+                 for init in _clamp_pair_to_lut(init_s, init_a, avail))
+
+
+def fine_search(
+    layers: Sequence[LayerDescriptor],
+    budget: HardwareBudget,
+    coarse: DataflowTable,
+    coeffs: EnergyCoeffs,
+    search: bool = True,
+    swept: dict[LayerType, DataflowTable] | None = None,
+) -> AccelSearchResult:
+    """Phase two: size and map the shift/adder chunks, then shrink the buffer.
+
+    PE counts come from ``fine_pe_counts``. With ``search`` on each
+    candidate count gets a full dataflow sweep, or reads it from ``swept``;
+    with it off the balanced counts keep the hand dataflow. The winner
+    minimizes the pipeline interval, with ties broken by fewer total LUTs,
+    then smaller PE counts.
+    """
+    by_type = split_by_type(layers)
+    (pe_c,) = coarse.evals
     tables = [coarse]
-    for kind, init in ((LayerType.SHIFT, init_s), (LayerType.ADDER, init_a)):
-        pes = sorted({max(1, round(init * m)) for m in steps})
-        tables.append(_chunk_evals(kind, by_type[kind], pes, budget, search))
+    for kind, pes in zip((LayerType.SHIFT, LayerType.ADDER),
+                         fine_pe_counts(layers, budget, pe_c, search)):
+        tables.append(_chunk_evals(kind, by_type[kind], pes, budget, search, swept))
     return _best_design(layers, tables, budget, coeffs)
 
 
@@ -307,16 +329,18 @@ def search_accelerator_layers(
     coeffs: EnergyCoeffs,
     coarse_phase: bool = True,
     fine_phase: bool = True,
+    swept: dict[LayerType, DataflowTable] | None = None,
 ) -> AccelSearchResult:
     """Coarse-to-fine search over a concrete layer workload.
 
     The two flags reproduce the ablation baselines: with ``coarse_phase``
     off, the conv chunk keeps the hand dataflow at maximum PEs; with
     ``fine_phase`` off, the shift/adder chunks keep the MAC-balanced PE
-    counts and the hand dataflow.
+    counts and the hand dataflow. Each searched chunk is swept at exactly
+    its own PE counts, or its rows are read from ``swept``.
     """
-    coarse = coarse_search(layers, budget, search=coarse_phase)
-    return fine_search(layers, budget, coarse, coeffs, search=fine_phase)
+    coarse = coarse_search(layers, budget, search=coarse_phase, swept=swept)
+    return fine_search(layers, budget, coarse, coeffs, search=fine_phase, swept=swept)
 
 
 def search_accelerator(
@@ -329,39 +353,82 @@ def search_accelerator(
     return result.config, result.report
 
 
-def oracle_layers(
+def oracle_grid(
     layers: Sequence[LayerDescriptor],
     budget: HardwareBudget,
-    coeffs: EnergyCoeffs,
     grid: dict[str, Sequence[int]],
     node_cap: int = DEFAULT_NODE_CAP,
-) -> AccelSearchResult:
-    """Exhaustive joint optimum over (PE grid x 64 loop-order combinations x
-    feasible tilings), same objective and tie-breaks as the fine search.
-
-    Per-chunk latency is independent given the (maximum) provisional buffer,
-    so the joint space is covered by combining per-chunk sweeps with a full
-    scan of PE triples; ``joint_space_nodes`` reports the flat space size.
-    Conv layers on a budget whose DSP share holds no conv PE are an
-    InfeasibleBudget, as in the search.
-    """
+) -> tuple[dict[LayerType, list[int]], int]:
+    """The oracle's PE counts per chunk and the size of the flat joint space
+    a vanilla enumeration would visit. The conv grid keeps the counts the
+    DSP share holds, or one PE. Conv layers on a DSP share that holds no
+    conv PE are an InfeasibleBudget, as in the search, and a joint space
+    above ``node_cap`` is GridTooLarge."""
     by_type = split_by_type(layers)
     grids = {k: list(check_value(grid[k.value], CHOICES, f"grid.{k.value}")) for k in _KIND_ORDER}
     if by_type[LayerType.CONV] and budget.conv_pes_by_dsp < 1:
         raise _no_conv_pe(budget)
     grids[LayerType.CONV] = [p for p in grids[LayerType.CONV]
                              if p <= budget.conv_pes_by_dsp] or [1]
-
-    n_tilings = {k: len(tiling_candidates(by_type[k])) for k in _KIND_ORDER}
     joint = 1
     for kind in _KIND_ORDER:
-        joint *= len(grids[kind]) * 4 * n_tilings[kind]
+        joint *= len(grids[kind]) * 4 * tiling_count(by_type[kind])
     if joint > node_cap:
         raise GridTooLarge(f"joint space {joint:.3g} exceeds node cap {node_cap:.3g}")
+    return grids, joint
 
-    tables = [_chunk_evals(kind, by_type[kind], grids[kind], budget, True)
+
+def oracle_layers(
+    layers: Sequence[LayerDescriptor],
+    budget: HardwareBudget,
+    coeffs: EnergyCoeffs,
+    grid: dict[str, Sequence[int]],
+    node_cap: int = DEFAULT_NODE_CAP,
+    swept: dict[LayerType, DataflowTable] | None = None,
+) -> AccelSearchResult:
+    """Exhaustive joint optimum over (PE grid x 64 loop-order combinations x
+    feasible tilings), same objective and tie-breaks as the fine search.
+
+    Per-chunk latency is independent given the (maximum) provisional buffer,
+    so the joint space is covered by combining per-chunk sweeps (or their
+    rows in ``swept``) with a full scan of PE triples; ``joint_space_nodes``
+    reports the flat space size. The grid is held to ``oracle_grid``.
+    """
+    grids, joint = oracle_grid(layers, budget, grid, node_cap)
+    by_type = split_by_type(layers)
+    tables = [_chunk_evals(kind, by_type[kind], grids[kind], budget, True, swept)
               for kind in _KIND_ORDER]
     return replace(_best_design(layers, tables, budget, coeffs), joint_space_nodes=joint)
+
+
+def comparison_tables(
+    layers: Sequence[LayerDescriptor],
+    budget: HardwareBudget,
+    grid: dict[str, Sequence[int]],
+    node_cap: int = DEFAULT_NODE_CAP,
+) -> dict[LayerType, DataflowTable]:
+    """Every chunk swept once, at the union of the PE counts the full,
+    fine-only and coarse-only searches and the oracle read from it: the
+    coarse conv count, the shift and adder fine-tune counts, and the
+    oracle's grid. Pass the result as ``swept``; each design restricts it
+    to its own PE counts, so its rows and node counts are those of its own
+    sweeps.
+
+    Raises the full search's errors in its order. A grid the oracle refuses
+    adds no PE counts; ``oracle_layers`` raises that error after the
+    searches.
+    """
+    by_type = split_by_type(layers)
+    try:
+        extra, _ = oracle_grid(layers, budget, grid, node_cap)
+    except (KeyError, TypeError, ValueError):  # oracle_layers raises it after the searches
+        extra = dict.fromkeys(_KIND_ORDER, ())
+    pe_c = _coarse_pe(by_type[LayerType.CONV], budget)
+    swept = {LayerType.CONV: _sweep(LayerType.CONV, by_type[LayerType.CONV],
+                                    sorted({pe_c, *extra[LayerType.CONV]}), budget)}
+    for kind, pes in zip((LayerType.SHIFT, LayerType.ADDER), fine_pe_counts(layers, budget, pe_c)):
+        swept[kind] = _sweep(kind, by_type[kind], sorted({*pes, *extra[kind]}), budget)
+    return swept
 
 
 # ---------------------------------------------------------------------------

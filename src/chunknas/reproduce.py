@@ -278,16 +278,20 @@ def compare_workloads(
     node_cap: int = cs.DEFAULT_NODE_CAP,
 ) -> list[WorkloadComparison]:
     """Run full / fine-only / coarse-only search and the joint oracle on
-    every workload of a suite file."""
+    every workload of a suite file. The four designs of a workload read
+    their rows from one sweep per chunk (``comparison_tables``)."""
     budget = HardwareBudget.from_dict(suite["budget"])
     grid = suite["grid"]
     results = []
     for wl in suite["workloads"]:
         layers = [LayerDescriptor.from_dict(d) for d in wl["layers"]]
-        full = cs.search_accelerator_layers(layers, budget, coeffs)
-        fine_only = cs.search_accelerator_layers(layers, budget, coeffs, coarse_phase=False)
-        coarse_only = cs.search_accelerator_layers(layers, budget, coeffs, fine_phase=False)
-        oracle = cs.oracle_layers(layers, budget, coeffs, grid, node_cap)
+        swept = cs.comparison_tables(layers, budget, grid, node_cap)
+        full = cs.search_accelerator_layers(layers, budget, coeffs, swept=swept)
+        fine_only = cs.search_accelerator_layers(layers, budget, coeffs, coarse_phase=False,
+                                                 swept=swept)
+        coarse_only = cs.search_accelerator_layers(layers, budget, coeffs, fine_phase=False,
+                                                   swept=swept)
+        oracle = cs.oracle_layers(layers, budget, coeffs, grid, node_cap, swept=swept)
         thr = full.report.throughput_gops
         ordering_ok = (
             thr >= fine_only.report.throughput_gops - 1e-9

@@ -8,8 +8,9 @@ the package's layers, and ``ref_instantiate`` draws the full classifier.
 It also holds the scalar fixture forms of the package's vector metrics
 (``nn_degree_terms``, ``rank_of``, ``combined_score``) and genome-level
 wrappers only the tests use (``is_valid``, ``smallest_genome``,
-``exhaustive_oracle``), and the co-search loop in its serial form
-(``ref_cosearch``).
+``exhaustive_oracle``), the co-search loop in its serial form
+(``ref_cosearch``), and the oracle comparison as four independent
+searches (``ref_compare_workloads``).
 """
 
 import math
@@ -25,6 +26,7 @@ from chunknas.accel import (
     ChunkEval,
     Dataflow,
     EmptyFeasibleSet,
+    HardwareBudget,
     LoopOrder,
     layer_latency,
 )
@@ -37,10 +39,13 @@ from chunknas.cosearch import (
     effective_budget,
     oracle_layers,
     rank_scores,
+    search_accelerator_layers,
 )
 from chunknas.nn import HybridLayer, NonFiniteScore
+from chunknas.reproduce import WorkloadComparison
 from chunknas.search_space import (
     NUM_HEAD_LAYERS,
+    LayerDescriptor,
     LayerType,
     MembershipViolation,
     _assemble,
@@ -385,6 +390,30 @@ def exhaustive_oracle(net, space, budget, coeffs, grid, node_cap=DEFAULT_NODE_CA
     """``oracle_layers`` on a genome's expansion: (config, report)."""
     result = oracle_layers(expand(space, net), budget, coeffs, grid, node_cap)
     return result.config, result.report
+
+
+def ref_compare_workloads(suite, coeffs, node_cap=DEFAULT_NODE_CAP):
+    """``compare_workloads`` as four independent searches per workload, each
+    sweeping its own chunks at its own PE counts."""
+    budget = HardwareBudget.from_dict(suite["budget"])
+    rows = []
+    for wl in suite["workloads"]:
+        layers = [LayerDescriptor.from_dict(d) for d in wl["layers"]]
+        full = search_accelerator_layers(layers, budget, coeffs)
+        fine_only = search_accelerator_layers(layers, budget, coeffs, coarse_phase=False)
+        coarse_only = search_accelerator_layers(layers, budget, coeffs, fine_phase=False)
+        oracle = oracle_layers(layers, budget, coeffs, suite["grid"], node_cap)
+        thr, fine, coarse, best = (r.report.throughput_gops
+                                   for r in (full, fine_only, coarse_only, oracle))
+        rows.append(WorkloadComparison(
+            name=wl["name"], thr_full=thr, thr_fine_only=fine, thr_coarse_only=coarse,
+            thr_oracle=best, ratio=thr / best, exact_equal=thr == best,
+            nodes_search=full.evaluated_nodes, nodes_oracle=oracle.joint_space_nodes,
+            node_ratio=oracle.joint_space_nodes / full.evaluated_nodes,
+            ordering_ok=thr >= fine - 1e-9 and fine >= coarse - 1e-9,
+            equality_expected=wl.get("equality_expected", False),
+            ordering_expected=wl.get("ordering_expected", True)))
+    return rows
 
 
 def _ladder(limit):

@@ -23,6 +23,7 @@ from chunknas.accel import (
     pipeline_perf,
     resource_usage,
     tiling_candidates,
+    tiling_count,
 )
 from chunknas.search_space import LayerDescriptor, LayerType, OpCounts
 from oracles import ref_dataflows
@@ -191,12 +192,25 @@ class TestEnumerateDataflows:
         assert [df.tiling for df in flows if df.loop_order is LoopOrder.WS] \
             == [tuple(t) for t in tiling_candidates([layer]).tolist()]
 
+    def test_tiling_count(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            layers = [LayerDescriptor(LayerType.CONV, rng.randint(1, 64), rng.randint(1, 64),
+                                      1, 1, 1, rng.randint(1, 32), rng.randint(1, 32))
+                      for _ in range(rng.randint(0, 3))]
+            assert tiling_count(layers) == len(tiling_candidates(layers))
+
     def test_infeasible_buffer_raises(self):
         layer = LayerDescriptor(LayerType.CONV, 8, 8, 3, 1, 1, 8, 8)
         with pytest.raises(EmptyFeasibleSet):
             ref_dataflows([layer], 8, HardwareBudget())
         with pytest.raises(EmptyFeasibleSet):
             evaluate_dataflows(LayerType.CONV, [layer], [8], 8, HardwareBudget())
+
+    def test_empty_layer_set_one_node_per_pe(self):
+        table = evaluate_dataflows(LayerType.SHIFT, [], [1, 4, 16], 8, HardwareBudget())
+        assert sorted(table.evals) == [1, 4, 16]
+        assert table.nodes == table.feasible_dataflows == 3
 
     def test_evaluate_matches_scalar_model(self):
         # The vectorized sweep must agree with layer_latency evaluated

@@ -97,6 +97,12 @@ class TestCoarseSearch:
                                 budget).evals[64]
         assert res.evals[64] == ev
 
+    def test_hand_table_one_node_per_pe(self):
+        layers = [LayerDescriptor(LayerType.CONV, 8, 8, 3, 1, 1, 8, 8)]
+        res = coarse_search(layers, small_budget(), search=False)
+        assert list(res.evals) == [64]
+        assert res.nodes == res.feasible_dataflows == 1
+
     def test_no_conv_layers_degenerates(self):
         from chunknas.cosearch import NoConvLayers
 

@@ -5,8 +5,9 @@ whenever an ablation is, and at least as fast; the exhaustive oracle,
 restricted to the PE counts the full search chose, picks the same design;
 on the bundled budget and grid the full search reaches 0.95 of the oracle's
 throughput on conv-free workloads, and a seeded corpus of mixed workloads
-states its tail; and the per-chunk dataflow table equals a brute-force sweep
-over the scalar cost model at every PE count."""
+states its tail; the per-chunk dataflow table equals a brute-force sweep
+over the scalar cost model at every PE count; and a table swept at a union
+of PE counts, restricted to a subset, equals the sweep at the subset."""
 
 import random
 
@@ -177,6 +178,33 @@ def test_table_equals_brute_force_sweep(workload, pes, gb, bandwidth):
     assert table.evals == expected
     assert table.nodes == len(pes) * 4 * len(ref_tilings(layers))
     assert table.feasible_dataflows == len(pes) * len(ref_dataflows(layers, gb, budget))
+    assert table.feasible_dataflows <= table.nodes
+
+
+pe_subsets = st.lists(st.integers(1, 64), min_size=1, max_size=8, unique=True).flatmap(
+    lambda union: st.tuples(st.just(union),
+                            st.lists(st.sampled_from(union), min_size=1, unique=True)))
+
+
+@settings(max_examples=40)
+@given(chunk_workload(), pe_subsets, st.integers(16, 1 << 13),
+       st.sampled_from((1.0, 4.0, 16.0)))
+@example((LayerType.SHIFT, []), ([1, 8, 64], [8]), 16, 4.0)
+def test_restricted_table_equals_own_sweep(workload, pe_sets, gb, bandwidth):
+    # A row never depends on the other PE counts swept with it, so one sweep
+    # at the union U serves every design that reads a subset S of U.
+    kind, layers = workload
+    union, subset = pe_sets
+    budget = HardwareBudget(dram_bandwidth=bandwidth)
+    try:
+        own = evaluate_dataflows(kind, layers, subset, gb, budget)
+    except EmptyFeasibleSet:
+        with pytest.raises(EmptyFeasibleSet):
+            evaluate_dataflows(kind, layers, union, gb, budget)
+        return
+    table = evaluate_dataflows(kind, layers, union, gb, budget).restrict(subset)
+    assert table.evals == own.evals
+    assert (table.nodes, table.feasible_dataflows) == (own.nodes, own.feasible_dataflows)
 
 
 dataflows = st.builds(Dataflow, st.sampled_from(list(LoopOrder)),
