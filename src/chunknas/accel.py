@@ -355,6 +355,26 @@ def _pow2_ladder(limit: int) -> tuple[int, ...]:
     return tuple(sorted(set(vals)))
 
 
+@functools.lru_cache(maxsize=None)
+def _ladder_on_axis(limit: int, axis: int) -> np.ndarray:
+    """``_pow2_ladder(limit)`` as int64, laid along ``axis`` of the 4-D
+    (t_cin, t_cout, t_h, t_w) grid."""
+    shape = [1, 1, 1, 1]
+    shape[axis] = -1
+    out = np.array(_pow2_ladder(limit), dtype=np.int64).reshape(shape)
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _clamped_positions(n_chunk: int, n_own: int) -> np.ndarray:
+    """Own-ladder position of each of the ``n_chunk`` positions of a chunk
+    ladder, for a layer whose own ladder on that axis has ``n_own`` steps."""
+    out = np.minimum(np.arange(n_chunk), n_own - 1)
+    out.flags.writeable = False
+    return out
+
+
 def _tiling_ladders(layers: Sequence[LayerDescriptor]) -> tuple[tuple[int, ...], ...]:
     """The power-of-two ladder of t_cin, t_cout, t_h and t_w up to the
     layer set's max dims; none for an empty set."""
@@ -379,11 +399,11 @@ def tiling_candidates(layers: Sequence[LayerDescriptor]) -> np.ndarray:
     lexicographic order."""
     if not layers:
         return np.ones((1, 5), dtype=np.int64)
-    grid = np.meshgrid(*_tiling_ladders(layers), indexing="ij")
-    out = np.ones((grid[0].size, 5), dtype=np.int64)
-    for col, dim in enumerate(grid, start=1):
-        out[:, col] = dim.ravel()
-    return out
+    ladders = _tiling_ladders(layers)
+    out = np.ones(tuple(map(len, ladders)) + (5,), dtype=np.int64)
+    for axis, ladder in enumerate(ladders):
+        out[..., axis + 1] = _ladder_on_axis(ladder[-1], axis)
+    return out.reshape(-1, 5)
 
 
 @dataclass
@@ -429,54 +449,81 @@ def evaluate_dataflows(
     """Vectorized sweep of all (loop order, tiling) dataflows for one chunk
     at every PE count of ``pe_counts``.
 
-    Identical layers are folded into multiplicities, and the tilings, the
-    working sets and the memory cycles are computed once per distinct layer;
-    only the compute cycles depend on the PE count, so all PE counts are
-    evaluated in one broadcast. Selection key per PE count: total cycles,
-    then smaller buffer demand, then the canonical loop-order preference
-    WS < OS < IS < RS, then lexicographic tiling. Raises EmptyFeasibleSet
-    when no tiling fits the buffer.
+    The candidate tilings are the power-of-two ladders up to the layer set's
+    max dims (``tiling_candidates``). Identical layers are folded into
+    multiplicities, and each distinct layer is costed on its own ladders,
+    which run up to its own dims: a tile at or above the layer's extent
+    clamps to the extent, so the cost is constant along the rest of the
+    chunk ladder. Below the extent the chunk ladder's entries are exactly
+    the layer's own powers of two, so on each axis chunk-ladder position
+    ``i`` reads own position ``min(i, len(own) - 1)``, and the layer's
+    cycles and working set reach the chunk grid through that index map.
+    Every element is the value a sweep of the whole chunk grid computes, by
+    the same operations. The working sets and memory cycles do not depend
+    on the PE count, so all PE counts are evaluated in one broadcast.
+
+    Selection key per PE count: total cycles, then smaller buffer demand,
+    then the canonical loop-order preference WS < OS < IS < RS, then
+    lexicographic tiling. Cycle counts are integers, so the folded float64
+    sums are exact and every pick is the one a layer-by-layer sweep makes.
+    Raises EmptyFeasibleSet when no tiling fits the buffer.
     """
     pes = list(pe_counts)
     if not layers:
         return DataflowTable({pe: ChunkEval(Dataflow(LoopOrder.WS, (1, 1, 1, 1, 1)), 0)
                               for pe in pes}, 1, 1)
-    for layer in layers:
+    folded = Counter()
+    for layer, count in Counter(layers).items():
         if layer.op_type is not kind:
             raise ValueError(f"layer {layer} assigned to chunk {kind}")
-    folded = Counter(_geom(layer, budget) for layer in layers)
+        folded[_geom(layer, budget)] += count
     arr = tiling_candidates(layers)
+    grid_shape = tuple(map(len, _tiling_ladders(layers)))
     a = len(arr)
     pe_axis = np.asarray(pes, dtype=np.int64).reshape(-1, 1, 1)
     total = np.zeros((len(pes), len(LoopOrder), a), dtype=np.float64)
-    cycles = np.empty_like(total)
-    feasible = np.ones(a, dtype=bool)
     ws_max = np.zeros(a, dtype=np.float64)
     for g, count in folded.items():
-        ws, *terms = _layer_terms(g, *_clamp_tiles(g, arr.T), budget.dram_bandwidth)
-        feasible &= ws <= gb_bytes
-        ws_max = np.maximum(ws_max, ws)
+        # Own ladders never exceed the extents, so they need no clamping.
+        ws, tiles, tile_macs, mem = _layer_terms(
+            g, *(_ladder_on_axis(e, axis) for axis, e in enumerate((g.ci, g.co, g.h, g.w))),
+            budget.dram_bandwidth)
+        own_shape = tiles.shape
         # Integer cycle counts: the float64 sums stay exact.
-        _cycles(*terms, pe_axis, out=cycles)
+        cycles = _cycles(tiles.reshape(-1), tile_macs.reshape(-1),
+                         mem.reshape(len(LoopOrder), -1), pe_axis)
         if count != 1:
             cycles *= count
+        ws = ws.reshape(-1)
+        if own_shape != grid_shape:
+            # The flat own-grid position each chunk tiling reads, composed
+            # axis by axis in row-major order.
+            index = 0
+            for n_chunk, n_own in zip(grid_shape, own_shape):
+                index = np.add.outer(index * n_own, _clamped_positions(n_chunk, n_own))
+            index = index.reshape(-1)
+            cycles = cycles.take(index, axis=-1)
+            ws = ws.take(index)
         total += cycles
-    del cycles
+        np.maximum(ws_max, ws, out=ws_max)
+    feasible = ws_max <= gb_bytes
     if not feasible.any():
         raise EmptyFeasibleSet(
             f"no tiling fits a {gb_bytes} B buffer for chunk {kind.short}"
         )
     total[..., ~feasible] = np.inf
-    evals = {}
-    for pe, cyc in zip(pes, total):
-        best = cyc.min()
-        # nonzero lists the ties by loop order, then tiling, and the tilings
-        # are in lexicographic order, so the first tie of least buffer
-        # demand is the pick.
-        order, tile = np.nonzero(cyc == best)
-        pick = ws_max[tile].argmin()
-        evals[pe] = ChunkEval(Dataflow(LoopOrder(int(order[pick])), tuple(arr[tile[pick]])),
-                              int(best))
+    best = total.reshape(len(pes), -1).min(axis=1)
+    # Per PE count, the ties on cycles keyed by buffer demand, written over
+    # the totals: argmin takes the first least demand in (loop order,
+    # tiling) order, and the tilings are in lexicographic order, so that is
+    # the selection key.
+    ties = total == best[:, None, None]
+    demand = total
+    demand.fill(np.inf)
+    np.copyto(demand, ws_max, where=ties)
+    orders, picks = np.divmod(demand.reshape(len(pes), -1).argmin(axis=1), a)
+    evals = {pe: ChunkEval(Dataflow(LoopOrder(int(order)), tuple(arr[pick])), int(cycles))
+             for pe, order, pick, cycles in zip(pes, orders, picks, best)}
     return DataflowTable(evals, 4 * a, 4 * int(feasible.sum()))
 
 

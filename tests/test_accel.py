@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from chunknas import accel
 from chunknas.accel import (
     AcceleratorConfig,
     ChunkConfig,
@@ -15,6 +16,7 @@ from chunknas.accel import (
     PerfReport,
     SingularSystem,
     TileExceedsBuffer,
+    _geom,
     chunk_lut,
     evaluate_dataflows,
     fit_energy_coeffs,
@@ -232,6 +234,21 @@ class TestEnumerateDataflows:
                 for l in layers
             )
             assert total == ev.cycles
+
+    def test_layers_folded_before_their_geometry(self, monkeypatch):
+        # Stride-2 inputs of 15 and 16 rows are two descriptors of one
+        # geometry: one geometry per distinct descriptor, and their counts
+        # add up.
+        geoms = []
+        monkeypatch.setattr(accel, "_geom", lambda *a: geoms.append(a) or _geom(*a))
+        odd, even = (LayerDescriptor(LayerType.ADDER, 4, 8, 3, 2, 1, n, n) for n in (15, 16))
+        layers = [odd, even, odd, odd]
+        budget = HardwareBudget()
+        table = evaluate_dataflows(LayerType.ADDER, layers, [8], 1 << 16, budget)
+        assert len(geoms) == 2
+        ev = table.evals[8]
+        assert ev.cycles == 4 * layer_latency(even, ChunkConfig(LayerType.ADDER, 8, ev.dataflow),
+                                              1 << 16, budget)
 
     def test_evaluate_is_argmin_over_enumeration(self):
         budget = HardwareBudget(dram_bandwidth=4.0)

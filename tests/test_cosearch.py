@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import sys
@@ -49,6 +50,12 @@ from chunknas.search_space import (
 )
 
 COEFFS = EnergyCoeffs(5.28e-3, 7.2e-4, 7.2e-4)
+
+# SHA-256 of [config.to_dict(), report.to_dict()] of search_accelerator on
+# the first 16 genomes of sample_random(stock space, Random(0)), at the stock
+# KV260 budget under the stock constraint, as json.dumps(..., sort_keys=True).
+# Taken from the sweep that costed every layer on the whole chunk grid.
+CORPUS_DESIGNS_SHA256 = "66947becfd82e1bef84dda83948282d527d79868f7dee9e687561d512cd8059c"
 
 
 def tiny_space() -> SearchSpace:
@@ -247,6 +254,18 @@ class TestSearchAccelerator:
         b = search_accelerator(net, space, budget, COEFFS)
         assert a[0] == b[0]
         assert a[1].latency_s == b[1].latency_s
+
+    def test_stock_corpus_designs_pinned(self):
+        # Stock genomes reach the full 12-step channel ladders, which the
+        # property tests' small layers never do.
+        cfg = RunConfig()
+        budget = effective_budget(cfg.budget, cfg.constraint)
+        rng = random.Random(0)
+        nets = [sample_random(cfg.space, rng) for _ in range(16)]
+        docs = [[c.to_dict(), r.to_dict()] for c, r in
+                (search_accelerator(net, cfg.space, budget, cfg.coeffs) for net in nets)]
+        digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+        assert digest == CORPUS_DESIGNS_SHA256
 
     def test_all_conv_genome_degenerate_chunks(self):
         space = tiny_space()

@@ -6,8 +6,9 @@ restricted to the PE counts the full search chose, picks the same design;
 on the bundled budget and grid the full search reaches 0.95 of the oracle's
 throughput on conv-free workloads, and a seeded corpus of mixed workloads
 states its tail; the per-chunk dataflow table equals a brute-force sweep
-over the scalar cost model at every PE count; and a table swept at a union
-of PE counts, restricted to a subset, equals the sweep at the subset."""
+over the scalar cost model at every PE count, also on chunks that mix one
+wide layer with narrow ones; and a table swept at a union of PE counts,
+restricted to a subset, equals the sweep at the subset."""
 
 import random
 
@@ -179,6 +180,49 @@ def test_table_equals_brute_force_sweep(workload, pes, gb, bandwidth):
     assert table.nodes == len(pes) * 4 * len(ref_tilings(layers))
     assert table.feasible_dataflows == len(pes) * len(ref_dataflows(layers, gb, budget))
     assert table.feasible_dataflows <= table.nodes
+
+
+def _wide(kind, channels, groups=1):
+    return LayerDescriptor(kind, channels, channels, 3, 1, groups, 16, 16)
+
+
+# One wide layer beside narrow ones: a narrow layer's own ladder grid is a
+# sliver of the chunk grid and reaches it through a clamping index map, as
+# does a wide depthwise layer's (one reduction channel against the narrow
+# dense layers' few); a wide dense layer, like a one-layer set, reads its
+# own grid as it is. The strategies above draw at most 32 channels and 16
+# rows, so they never reach ladders of this length.
+MIXED_EXTENTS = {
+    "wide dense, narrow dense and depthwise": (LayerType.SHIFT, [
+        _wide(LayerType.SHIFT, 256),
+        LayerDescriptor(LayerType.SHIFT, 4, 2, 1, 1, 1, 1, 1),
+        LayerDescriptor(LayerType.SHIFT, 3, 3, 3, 2, 3, 2, 2),
+    ], (1, 16)),
+    "wide depthwise, narrow dense": (LayerType.ADDER, [
+        _wide(LayerType.ADDER, 1792, groups=1792),
+        LayerDescriptor(LayerType.ADDER, 4, 4, 1, 1, 1, 1, 1),
+        LayerDescriptor(LayerType.ADDER, 1, 3, 3, 2, 1, 3, 3),
+    ], (2, 7, 64)),
+    # Stride-2 inputs of 15 and 16 rows share one geometry and fold.
+    "shared geometries, repeated layers": (LayerType.CONV, [
+        _wide(LayerType.CONV, 512, groups=512),
+        LayerDescriptor(LayerType.CONV, 2, 1, 3, 2, 1, 15, 15),
+        LayerDescriptor(LayerType.CONV, 2, 1, 3, 2, 1, 16, 16),
+        LayerDescriptor(LayerType.CONV, 2, 1, 3, 2, 1, 16, 16),
+    ], (3, 32)),
+    "one layer": (LayerType.CONV, [_wide(LayerType.CONV, 384)], (5,)),
+}
+
+
+@pytest.mark.parametrize("case", MIXED_EXTENTS)
+def test_mixed_extents_table_equals_brute_force_sweep(case):
+    kind, layers, pes = MIXED_EXTENTS[case]
+    budget, gb = HardwareBudget(dram_bandwidth=16.0), 1 << 15
+    table = evaluate_dataflows(kind, layers, pes, gb, budget)
+    assert table.evals == {pe: ref_best_dataflow(kind, layers, pe, gb, budget) for pe in pes}
+    assert table.nodes == len(pes) * 4 * len(ref_tilings(layers))
+    assert table.feasible_dataflows == len(pes) * len(ref_dataflows(layers, gb, budget))
+    assert 0 < table.feasible_dataflows < table.nodes
 
 
 pe_subsets = st.lists(st.integers(1, 64), min_size=1, max_size=8, unique=True).flatmap(
