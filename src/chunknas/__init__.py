@@ -42,7 +42,7 @@ from .cosearch import (
     search_accelerator,
 )
 from .nn import HybridNet, instantiate, quantize_shift
-from .zeroshot import ZeroShotScore, kendall_tau, nn_degree, zen_score
+from .zeroshot import kendall_tau, nn_degree, zen_score
 
 __version__ = "0.1.0"
 

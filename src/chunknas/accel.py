@@ -64,6 +64,10 @@ class Dataflow:
         object.__setattr__(self, "tiling", t)
 
 
+# The dataflow of a chunk with no layers to map.
+EMPTY_CHUNK_DATAFLOW = Dataflow(LoopOrder.WS, (1, 1, 1, 1, 1))
+
+
 @dataclass(frozen=True)
 class ChunkConfig:
     chunk_kind: LayerType
@@ -470,8 +474,7 @@ def evaluate_dataflows(
     """
     pes = list(pe_counts)
     if not layers:
-        return DataflowTable({pe: ChunkEval(Dataflow(LoopOrder.WS, (1, 1, 1, 1, 1)), 0)
-                              for pe in pes}, 1, 1)
+        return DataflowTable({pe: ChunkEval(EMPTY_CHUNK_DATAFLOW, 0) for pe in pes}, 1, 1)
     folded = Counter()
     for layer, count in Counter(layers).items():
         if layer.op_type is not kind:

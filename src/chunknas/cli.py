@@ -15,13 +15,14 @@ import io
 import json
 import logging
 import os
+import random
 import sys
 import time
 from pathlib import Path
 
 from . import cosearch as cs
 from . import zeroshot
-from .accel import EmptyFeasibleSet, InfeasibleBudget, TileExceedsBuffer
+from .accel import BRAM_BITS, EmptyFeasibleSet, InfeasibleBudget, TileExceedsBuffer
 from .config import ParseError, RunConfig, load_run_config, read_json, read_text
 from .refdata import bundled_workloads, reference_tables
 from .reproduce import (
@@ -96,13 +97,6 @@ def _prepare_output(args) -> Path:
     return out
 
 
-def _genome_flat_to_net(values, line_no: int) -> SubNetwork:
-    try:
-        return SubNetwork.from_flat(values)
-    except ValueError as exc:
-        raise ParseError(str(exc), line=line_no) from exc
-
-
 def _parse_genome_text(text: str, line_no: int = 1) -> SubNetwork:
     tokens = text.replace(",", " ").replace("-", " ").split()
     values = []
@@ -114,7 +108,10 @@ def _parse_genome_text(text: str, line_no: int = 1) -> SubNetwork:
                 f"genome token {tok!r} is not an integer",
                 line=line_no, field_name=f"token {i}",
             ) from exc
-    return _genome_flat_to_net(values, line_no)
+    try:
+        return SubNetwork.from_flat(values)
+    except ValueError as exc:
+        raise ParseError(str(exc), line=line_no) from exc
 
 
 def read_genome_file(path: str) -> list[SubNetwork]:
@@ -142,7 +139,7 @@ def _perf_row(genome: str, report, budget) -> dict:
         "dsp": dsp,
         "dsp_pct": 100.0 * dsp / budget.dsp_total,
         "bram_blocks": bram,
-        "bram_pct": 100.0 * bram * 36864 / budget.bram_bits_total,
+        "bram_pct": 100.0 * bram * BRAM_BITS / budget.bram_bits_total,
         "freq_mhz": budget.frequency_hz / 1e6,
         "latency_ms": report.latency_s * 1e3,
         "thrpt_gops": report.throughput_gops,
@@ -162,8 +159,6 @@ def _perf_row(genome: str, report, budget) -> dict:
 
 
 def cmd_score(args, cfg: RunConfig) -> int:
-    import random
-
     if args.genomes:
         nets = read_genome_file(args.genomes)
     else:
@@ -254,42 +249,41 @@ def cmd_cosearch(args, cfg: RunConfig) -> int:
         cfg.space, cfg.budget, cfg.constraint, cfg.params, cfg.coeffs,
         threads=args.threads, progress=progress,
     )
+    entries = [c.to_dict(rank) for rank, c in result.entries]
     _write_json(out / "run_config.json", cfg.to_dict())
     _write_json(out / "result.json", {
-        "entries": [r.to_dict() for r in result.entries],
+        "entries": entries,
         "evaluations": result.evaluations,
         "population_size": len(result.population),
     })
     _write_csv(out / "log.csv", result.log)
     _write_csv(out / "pareto.csv", _pareto_rows(result))
     if args.json:
-        print(json.dumps({"entries": [r.to_dict() for r in result.entries]},
-                         indent=2, sort_keys=True))
+        print(json.dumps({"entries": entries}, indent=2, sort_keys=True))
     else:
-        for i, r in enumerate(result.entries, start=1):
-            print(f"#{i} rank={r.score.combined_rank} zen={r.score.zen_score:.4g} "
-                  f"nn={r.score.nn_degree:.4g} thrpt={r.report.throughput_gops:.4g} GOPS "
-                  f"fps={r.report.fps:.4g}")
+        for i, (rank, c) in enumerate(result.entries, start=1):
+            zen = "nan" if c.zen is None else format(c.zen, ".4g")
+            print(f"#{i} rank={rank} zen={zen} nn={c.nn_degree:.4g} "
+                  f"thrpt={c.report.throughput_gops:.4g} GOPS fps={c.report.fps:.4g}")
         print(f"wrote result.json, log.csv, pareto.csv, run_config.json to {out}")
     return 0
 
 
 def _pareto_rows(result: cs.CoSearchResult) -> list[dict]:
     """Non-dominated frontier of (combined rank asc, throughput desc)."""
-    members = sorted(result.population,
-                     key=lambda r: (r.score.combined_rank, -r.report.throughput_gops))
+    members = sorted(result.population, key=lambda rc: (rc[0], -rc[1].report.throughput_gops))
     rows = []
     best_thr = -1.0
-    for r in members:
-        thr = r.report.throughput_gops
+    for rank, c in members:
+        thr = c.report.throughput_gops
         if thr > best_thr:
             best_thr = thr
             rows.append({
-                "genome": _genome_str(r.net),
-                "combined_rank": r.score.combined_rank,
+                "genome": _genome_str(c.net),
+                "combined_rank": rank,
                 "thrpt_gops": thr,
-                "latency_ms": r.report.latency_s * 1e3,
-                "energy_mj": r.report.energy_mj,
+                "latency_ms": c.report.latency_s * 1e3,
+                "energy_mj": c.report.energy_mj,
             })
     return rows
 

@@ -29,6 +29,7 @@ from .accel import (
     ChunkEval,
     Dataflow,
     DataflowTable,
+    EMPTY_CHUNK_DATAFLOW,
     EmptyFeasibleSet,
     EnergyCoeffs,
     HardwareBudget,
@@ -97,15 +98,11 @@ def split_by_type(layers: Sequence[LayerDescriptor]) -> dict[LayerType, list[Lay
     return out
 
 
-def _minimal_dataflow() -> Dataflow:
-    return Dataflow(LoopOrder.WS, (1, 1, 1, 1, 1))
-
-
 def manual_dataflow(layers: Sequence[LayerDescriptor]) -> Dataflow:
     """Hand-style fixed mapping used by the ablation baselines: weight
     stationary with a 16x16 channel block over an 8x8 output block."""
     if not layers:
-        return _minimal_dataflow()
+        return EMPTY_CHUNK_DATAFLOW
     ci = max(l.in_channels // l.groups for l in layers)
     co = max(l.out_channels for l in layers)
     h = max(l.out_h for l in layers)
@@ -521,33 +518,25 @@ class CandidateEval:
     def feasible(self) -> bool:
         return self.report is not None and self.reject_reason is None
 
-
-@dataclass
-class CandidateRecord:
-    net: SubNetwork
-    config: AcceleratorConfig
-    report: PerfReport
-    score: zeroshot.ZeroShotScore
-
-    def to_dict(self) -> dict:
-        def _finite(v):
-            return v if math.isfinite(v) else None  # degenerate scores -> null
-
+    def to_dict(self, rank: int) -> dict:
+        """The result.json entry of a feasible candidate at combined
+        ``rank``: the genome in its flat and compact forms, the design, its
+        report and the scores. A degenerate Zen score is null."""
         return {
             "genome": list(self.net.to_flat()),
             "genome_compact": self.net.compact(),
             "accelerator": self.config.to_dict(),
             "performance": self.report.to_dict(),
-            "nn_degree": _finite(self.score.nn_degree),
-            "zen_score": _finite(self.score.zen_score),
-            "combined_rank": self.score.combined_rank,
+            "nn_degree": self.nn_degree,
+            "zen_score": self.zen,
+            "combined_rank": rank,
         }
 
 
 @dataclass
 class CoSearchResult:
-    entries: list[CandidateRecord]          # top-k, best combined rank first
-    population: list[CandidateRecord]       # full final population, ranked
+    entries: list[tuple[int, CandidateEval]]     # top-k (combined rank, candidate), best first
+    population: list[tuple[int, CandidateEval]]  # full final population, ranked
     log: list[dict]
     evaluations: int
 
@@ -687,23 +676,7 @@ def cosearch(
             if progress:
                 progress(f"iteration {iteration}: population {len(population)}")
 
-    records = [
-        CandidateRecord(
-            net=c.net, config=c.config, report=c.report,
-            score=zeroshot.ZeroShotScore(
-                nn_degree=c.nn_degree,
-                zen_score=float("nan") if c.zen is None else c.zen,
-                combined_rank=rank,
-            ),
-        )
-        for rank, c in ranked
-    ]
-    return CoSearchResult(
-        entries=records[: params.top_k],
-        population=records,
-        log=log,
-        evaluations=len(cache),
-    )
+    return CoSearchResult(ranked[: params.top_k], ranked, log, len(cache))
 
 
 def _log_row(iteration: int, new_evals: int, ranked: list[tuple[int, CandidateEval]]) -> dict:

@@ -9,7 +9,6 @@ Rank 0 is best on each metric, so lower combined values are better.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,13 +23,6 @@ ZEN_REPEATS = 1
 
 class AllTied(ValueError):
     """Rank correlation is undefined: every pair is tied in x or in y."""
-
-
-@dataclass(frozen=True)
-class ZeroShotScore:
-    nn_degree: float
-    zen_score: float
-    combined_rank: int
 
 
 def nn_degree(layers: Sequence[LayerDescriptor], blocks: Sequence[BlockInfo]) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from chunknas import nn, zeroshot
+from chunknas import nn
 from chunknas.accel import (
     ChunkConfig,
     ChunkEval,
@@ -32,7 +32,6 @@ from chunknas.accel import (
 )
 from chunknas.cosearch import (
     DEFAULT_NODE_CAP,
-    CandidateRecord,
     CoSearchResult,
     EmptyPopulation,
     _evaluate_candidate,
@@ -545,10 +544,5 @@ def ref_cosearch(space, budget, constraint, params, coeffs):
         log.append(log_row(iteration, len(offspring), population))
 
     ranks = rank(population)
-    records = []
-    for d in sorted(population, key=lambda d: (ranks[d], d)):
-        ev = cache[d]
-        zen = float("nan") if ev.zen is None else ev.zen
-        records.append(CandidateRecord(ev.net, ev.config, ev.report,
-                                       zeroshot.ZeroShotScore(ev.nn_degree, zen, ranks[d])))
-    return CoSearchResult(records[: params.top_k], records, log, len(cache))
+    ranked = [(ranks[d], cache[d]) for d in sorted(population, key=lambda d: (ranks[d], d))]
+    return CoSearchResult(ranked[: params.top_k], ranked, log, len(cache))

@@ -1,3 +1,4 @@
+import csv
 import json
 import random
 import re
@@ -152,6 +153,55 @@ class TestCosearchCmd:
             assert (out / name).exists()
         result = json.loads((out / "result.json").read_text())
         assert len(result["entries"]) == 2
+
+    def test_degenerate_candidate_through_every_output(self, tmp_path, capsys, monkeypatch):
+        # The first genome scored gets a degenerate Zen score. With top_k
+        # equal to the population, result.json lists every member; seed 7
+        # ties two pairs of ranks, so the frontier's throughput order counts.
+        from chunknas import cosearch as cs
+
+        scored = cs.zero_shot_scores
+        degenerate = []
+
+        def zero_shot_scores(net, *args):
+            nn_val, zen_val = scored(net, *args)
+            if not degenerate:
+                degenerate.append(net.digest())
+            return nn_val, (None if net.digest() == degenerate[0] else zen_val)
+
+        monkeypatch.setattr(cs, "zero_shot_scores", zero_shot_scores)
+        cfg = tiny_run_config(tmp_path, iterations=0, top_k=5, seed=7)
+        argv = ["--config", str(cfg), "--threads", "1", "--output"]
+        assert main([*argv, str(tmp_path / "json"), "--json", "cosearch"]) == 0
+        stdout_entries = json.loads(capsys.readouterr().out)["entries"]
+        assert main([*argv, str(tmp_path / "text"), "cosearch"]) == 0
+        summary = capsys.readouterr().out.splitlines()
+
+        result = json.loads((tmp_path / "json" / "result.json").read_text())
+        entries = result["entries"]
+        assert stdout_entries == entries
+        assert len(entries) == result["population_size"] == 5
+        assert len({e["combined_rank"] for e in entries}) < 5
+        assert [e["zen_score"] for e in entries].count(None) == 1
+        assert entries[-1]["zen_score"] is None
+        assert all(e["combined_rank"] < entries[-1]["combined_rank"] for e in entries[:-1])
+        assert (tmp_path / "text" / "result.json").read_text() == json.dumps(
+            result, indent=2, sort_keys=True) + "\n"
+        assert [line.split()[2] for line in summary[:5]].count("zen=nan") == 1
+        assert summary[4].startswith(f"#5 rank={entries[-1]['combined_rank']} zen=nan ")
+
+        frontier, best = [], -1.0
+        for e in sorted(entries, key=lambda e: (e["combined_rank"],
+                                                -e["performance"]["throughput_gops"])):
+            perf = e["performance"]
+            if perf["throughput_gops"] > best:
+                best = perf["throughput_gops"]
+                frontier.append(["-".join(map(str, e["genome"])), str(e["combined_rank"]),
+                                 *(format(v, ".6g") for v in (perf["throughput_gops"],
+                                                              perf["latency_s"] * 1e3,
+                                                              perf["energy_mj"]))])
+        with open(tmp_path / "json" / "pareto.csv", newline="") as f:
+            assert list(csv.reader(f))[1:] == frontier
 
     @pytest.mark.parametrize("verb", ["score", "search-accel", "cosearch"])
     def test_refuses_nonempty_output_without_force(self, tmp_path, capsys, monkeypatch, verb):

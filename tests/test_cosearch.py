@@ -13,9 +13,11 @@ from chunknas.accel import (
     HardwareBudget,
     InfeasibleBudget,
     LoopOrder,
+    evaluate_dataflows,
 )
 from chunknas.config import RunConfig
 from chunknas.cosearch import (
+    CandidateEval,
     Constraint,
     EmptyPopulation,
     GridTooLarge,
@@ -428,8 +430,9 @@ class TestCosearch:
         space, budget, constraint, params = self._setup()
         r1 = cosearch(space, budget, constraint, params, COEFFS)
         r2 = cosearch(space, budget, constraint, params, COEFFS, threads=2)
-        assert [e.net for e in r1.entries] == [e.net for e in r2.entries]
-        assert [e.score for e in r1.entries] == [e.score for e in r2.entries]
+        assert [c.net for _, c in r1.entries] == [c.net for _, c in r2.entries]
+        assert ([(rank, c.nn_degree, c.zen) for rank, c in r1.entries]
+                == [(rank, c.nn_degree, c.zen) for rank, c in r2.entries])
         assert r1.log == r2.log
         # Genomes are cached by digest: never more evaluations than candidates.
         assert r1.evaluations <= params.population + params.iterations * params.expand_size
@@ -443,7 +446,7 @@ class TestCosearch:
         def run(threads):
             res = cosearch(cfg.space, cfg.budget, cfg.constraint, params, cfg.coeffs,
                            threads=threads)
-            return json.dumps([[r.to_dict() for r in res.population], res.log,
+            return json.dumps([[c.to_dict(rank) for rank, c in res.population], res.log,
                                res.evaluations], sort_keys=True)
 
         serial = run(1)
@@ -465,7 +468,7 @@ class TestCosearch:
         space, budget, constraint, params = self._setup(seed=seed)
 
         def doc(res):
-            return json.dumps([[r.to_dict() for r in res.population], res.log,
+            return json.dumps([[c.to_dict(rank) for rank, c in res.population], res.log,
                                res.evaluations], sort_keys=True)
 
         expected = doc(ref_cosearch(space, budget, constraint, params, COEFFS))
@@ -484,19 +487,19 @@ class TestCosearch:
 
         space, budget, constraint, params = self._setup()
         res = cosearch(space, budget, constraint, params, COEFFS)
-        ranks = [e.score.combined_rank for e in res.entries]
+        ranks = [rank for rank, _ in res.entries]
         assert ranks == sorted(ranks)
-        for e in res.entries:
-            assert is_valid(space, e.net)
-            e.report.validate()
-            assert constraint.rejects(e.report) is None
+        for _, c in res.entries:
+            assert is_valid(space, c.net)
+            c.report.validate()
+            assert constraint.rejects(c.report) is None
 
     def test_population_rank_bound(self):
         space, budget, constraint, params = self._setup()
         res = cosearch(space, budget, constraint, params, COEFFS)
         n = len(res.population)
-        for e in res.population:
-            assert 0 <= e.score.combined_rank <= 2 * (n - 1)
+        for rank, _ in res.population:
+            assert 0 <= rank <= 2 * (n - 1)
 
     def test_impossible_latency_constraint(self):
         space, budget, _, params = self._setup()
@@ -546,20 +549,12 @@ class TestCosearch:
         assert derive_seeds(2, 12345) != a
 
     def test_degenerate_scores_serialize_as_null(self):
-        import json
-
-        from chunknas import zeroshot
-        from chunknas.cosearch import CandidateRecord
-
         space = tiny_space()
         net = sample_random(space, random.Random(0))
         layers = expand(space, net)
         res = search_accelerator_layers(layers, small_budget(), COEFFS)
-        record = CandidateRecord(
-            net=net, config=res.config, report=res.report,
-            score=zeroshot.ZeroShotScore(float("nan"), float("nan"), 12),
-        )
-        doc = json.dumps(record.to_dict(), allow_nan=False)  # must not raise
+        candidate = CandidateEval(net, res.config, res.report, nn_degree=3.5, zen=None)
+        doc = json.dumps(candidate.to_dict(12), allow_nan=False)  # must not raise
         assert json.loads(doc)["zen_score"] is None
 
 
@@ -573,3 +568,8 @@ class TestManualDataflow:
     def test_clamps_to_small_layers(self):
         layers = [LayerDescriptor(LayerType.ADDER, 4, 4, 1, 1, 1, 2, 2)]
         assert manual_dataflow(layers).tiling == (1, 4, 4, 2, 2)
+
+    def test_empty_chunk_matches_empty_sweep(self):
+        table = evaluate_dataflows(LayerType.SHIFT, [], [1, 4], 8, HardwareBudget())
+        assert manual_dataflow([]) == Dataflow(LoopOrder.WS, (1, 1, 1, 1, 1))
+        assert all(ev.dataflow == manual_dataflow([]) for ev in table.evals.values())

@@ -72,7 +72,7 @@ params = SearchParams(population=4, expand_size=2, iterations=1, top_k=2, seed=1
 
 def run(threads):
     res = cosearch(space, small_budget(), constraint, params, COEFFS, threads=threads)
-    return json.dumps([[r.to_dict() for r in res.population], res.log, res.evaluations],
+    return json.dumps([[c.to_dict(rank) for rank, c in res.population], res.log, res.evaluations],
                       sort_keys=True)
 
 if nn._cityblock is not None:
