@@ -412,10 +412,15 @@ def tiling_candidates(layers: Sequence[LayerDescriptor]) -> np.ndarray:
 
 @dataclass
 class ChunkEval:
-    """Best dataflow for (chunk kind, layer set, pe) and its cycles."""
+    """Best dataflow for (chunk kind, layer set, pe), its total cycles, and
+    the largest tile working set (bytes) of the chunk's layers at its
+    tiling, 0.0 for an empty chunk. A design is built from its three rows
+    alone: its buffer from their working sets, its report from their
+    cycles."""
 
     dataflow: Dataflow
     cycles: int
+    working_set: float
 
 
 @dataclass
@@ -474,7 +479,7 @@ def evaluate_dataflows(
     """
     pes = list(pe_counts)
     if not layers:
-        return DataflowTable({pe: ChunkEval(EMPTY_CHUNK_DATAFLOW, 0) for pe in pes}, 1, 1)
+        return DataflowTable({pe: ChunkEval(EMPTY_CHUNK_DATAFLOW, 0, 0.0) for pe in pes}, 1, 1)
     folded = Counter()
     for layer, count in Counter(layers).items():
         if layer.op_type is not kind:
@@ -525,7 +530,8 @@ def evaluate_dataflows(
     demand.fill(np.inf)
     np.copyto(demand, ws_max, where=ties)
     orders, picks = np.divmod(demand.reshape(len(pes), -1).argmin(axis=1), a)
-    evals = {pe: ChunkEval(Dataflow(LoopOrder(int(order)), tuple(arr[pick])), int(cycles))
+    evals = {pe: ChunkEval(Dataflow(LoopOrder(int(order)), tuple(arr[pick])), int(cycles),
+                           float(ws_max[pick]))
              for pe, order, pick, cycles in zip(pes, orders, picks, best)}
     return DataflowTable(evals, 4 * a, 4 * int(feasible.sum()))
 
@@ -588,10 +594,20 @@ def pipeline_perf(
     """Steady-state pipeline report: the per-image interval is the largest
     per-chunk busy time, since each chunk streams its own layer set."""
     totals = chunk_cycle_totals(layers, cfg, budget)
-    times = tuple(
-        totals[k] / budget.frequency_hz
-        for k in (LayerType.CONV, LayerType.SHIFT, LayerType.ADDER)
-    )
+    return perf_report(layers, cfg, budget, coeffs,
+                       [totals[k] for k in (LayerType.CONV, LayerType.SHIFT, LayerType.ADDER)])
+
+
+def perf_report(
+    layers: Sequence[LayerDescriptor],
+    cfg: AcceleratorConfig,
+    budget: HardwareBudget,
+    coeffs: EnergyCoeffs,
+    cycles: Sequence[int],
+) -> PerfReport:
+    """The pipeline report of ``cfg`` running ``layers``, given each
+    chunk's busy cycles in (conv, shift, adder) order."""
+    times = tuple(c / budget.frequency_hz for c in cycles)
     latency = max(times)
     if latency <= 0:
         raise ValueError("empty workload: no cycles on any chunk")

@@ -15,6 +15,7 @@ import itertools
 import math
 import random
 import warnings
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -37,12 +38,13 @@ from .accel import (
     LoopOrder,
     LUT_PER_PE,
     PerfReport,
-    TileExceedsBuffer,
+    _clamp_tiles,
+    _cycles,
+    _geom,
+    _layer_terms,
     chunk_lut,
     evaluate_dataflows,
-    layer_latency,
-    min_gb_size,
-    pipeline_perf,
+    perf_report,
     tiling_count,
 )
 from .nn import NonFiniteScore, instantiate
@@ -144,24 +146,34 @@ def _sweep(kind: LayerType, layers: Sequence[LayerDescriptor], pes: Sequence[int
 def _chunk_evals(kind: LayerType, layers: Sequence[LayerDescriptor], pes: Sequence[int],
                  budget: HardwareBudget, search: bool,
                  swept: dict[LayerType, DataflowTable] | None) -> DataflowTable:
-    """Per-chunk table: for every PE count, the chunk's best dataflow, read
-    from ``swept`` (the chunk's sweep at a superset of ``pes``) or swept
-    here; or with ``search`` off the hand dataflow scored layer by layer
-    (one node per PE count), with the buffer provisionally at its maximum.
-    A buffer no dataflow fits is an infeasible budget."""
+    """Per-chunk table: for every PE count, the chunk's best dataflow with
+    its cycles and working set, read from ``swept`` (the chunk's sweep at a
+    superset of ``pes``) or swept here; or with ``search`` off the hand
+    dataflow, costed like a sweep of that one dataflow (one node per PE
+    count), with the buffer provisionally at its maximum. A buffer no
+    dataflow fits is an infeasible budget, as is a hand tile that does not
+    fit it."""
     if search:
         return swept[kind].restrict(pes) if swept else _sweep(kind, layers, pes, budget)
     gb = budget.gb_bytes_max
     df = manual_dataflow(layers)
-    try:
-        evals = {pe: ChunkEval(df, sum(layer_latency(l, ChunkConfig(kind, pe, df), gb, budget)
-                                       for l in layers))
-                 for pe in pes}
-    except TileExceedsBuffer as exc:
-        raise InfeasibleBudget(
-            f"hand dataflow tile {df.tiling} of chunk {kind.short} does not fit: {exc}"
-        ) from exc
-    return DataflowTable(evals, 1, 1)
+    pe_axis = np.asarray(pes, dtype=np.int64)
+    total = np.zeros(len(pes), dtype=np.float64)
+    ws_max = 0.0
+    for layer, count in Counter(layers).items():
+        g = _geom(layer, budget)
+        ws, tiles, tile_macs, mem = _layer_terms(g, *_clamp_tiles(g, df.tiling),
+                                                 budget.dram_bandwidth)
+        if ws > gb:
+            raise InfeasibleBudget(
+                f"hand dataflow tile {df.tiling} of chunk {kind.short} does not fit: "
+                f"tile working set {ws:.0f} B exceeds buffer {gb} B"
+            )
+        # Integer cycle counts: the float64 sums stay exact.
+        total += count * _cycles(tiles, tile_macs, mem[df.loop_order], pe_axis)
+        ws_max = max(ws_max, float(ws))
+    return DataflowTable({pe: ChunkEval(df, int(cycles), ws_max)
+                          for pe, cycles in zip(pes, total)}, 1, 1)
 
 
 @dataclass
@@ -182,7 +194,10 @@ def _best_design(layers: Sequence[LayerDescriptor], tables: Sequence[DataflowTab
     """Pick the PE combination of the conv, shift and adder tables that fits
     the LUT budget with the smallest pipeline interval (ties: fewer LUTs,
     then smaller PE counts), then shrink the buffer to the smallest size
-    that holds every chosen tile."""
+    that holds every chosen tile. The three chosen rows give the design
+    everything else: the buffer is their largest working set, rounded up,
+    and the report is built from their cycles, so no layer is costed
+    again."""
     avail = budget.lut_total - budget.lut_overhead
     best = None
     scanned = 0
@@ -197,12 +212,14 @@ def _best_design(layers: Sequence[LayerDescriptor], tables: Sequence[DataflowTab
             best = key
     if best is None:
         raise InfeasibleBudget("no PE combination fits the LUT budget")
-    chunks = [ChunkConfig(kind, pe, t.evals[pe].dataflow)
-              for kind, pe, t in zip(_KIND_ORDER, best[2:], tables)]
-    cfg = AcceleratorConfig(*chunks, gb_bytes=budget.gb_bytes_max)
-    cfg = replace(cfg, gb_bytes=max(1, min_gb_size(cfg, layers, budget)))
+    rows = [t.evals[pe] for pe, t in zip(best[2:], tables)]
+    chunks = [ChunkConfig(kind, pe, row.dataflow)
+              for kind, pe, row in zip(_KIND_ORDER, best[2:], rows)]
+    gb = max(1, math.ceil(max(row.working_set for row in rows)))
+    cfg = AcceleratorConfig(*chunks, gb_bytes=gb)
     cfg.assert_fits(budget)
-    return AccelSearchResult(cfg, pipeline_perf(layers, cfg, budget, coeffs),
+    return AccelSearchResult(cfg, perf_report(layers, cfg, budget, coeffs,
+                                              [row.cycles for row in rows]),
                              sum(t.nodes for t in tables) + scanned)
 
 

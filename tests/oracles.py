@@ -460,7 +460,8 @@ def ref_dataflows(layers, gb_bytes, budget):
 
 def ref_best_dataflow(kind, layers, pe, gb_bytes, budget):
     """Brute-force sweep over scalar layer_latency: the dataflow minimizing
-    (total cycles, buffer demand, loop order, tiling)."""
+    (total cycles, buffer demand, loop order, tiling), with its cycles and
+    buffer demand."""
     best = None
     flows = ref_dataflows(layers, gb_bytes, budget)
     for df in flows:
@@ -470,8 +471,8 @@ def ref_best_dataflow(kind, layers, pe, gb_bytes, budget):
         key = (cycles, ws, int(df.loop_order), df.tiling)
         if best is None or key < best[0]:
             best = (key, df)
-    (cycles, _, _, _), df = best
-    return ChunkEval(df, cycles)
+    (cycles, ws, _, _), df = best
+    return ChunkEval(df, cycles, ws)
 
 
 def ref_cosearch(space, budget, constraint, params, coeffs):

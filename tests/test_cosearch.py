@@ -86,6 +86,22 @@ def small_budget() -> HardwareBudget:
     )
 
 
+def four_bram_budget() -> HardwareBudget:
+    return replace(small_budget(), bram_bits_total=4 * 36864)
+
+
+def _hand_tile_error(kind: LayerType, ws: int) -> str:
+    """The error of a hand tile (1, 16, 16, 8, 8) of ``ws`` bytes over
+    ``four_bram_budget``'s 18432 B buffer."""
+    return (f"hand dataflow tile (1, 16, 16, 8, 8) of chunk {kind.short} does not fit: "
+            f"tile working set {ws} B exceeds buffer 18432 B")
+
+
+TINY_ADDER = LayerDescriptor(LayerType.ADDER, 1, 1, 1, 1, 1, 1, 1)
+ADDER_5X5, ADDER_7X7 = (LayerDescriptor(LayerType.ADDER, 32, 32, k, 1, 1, 16, 16)
+                        for k in (5, 7))
+
+
 class TestCoarseSearch:
     def test_max_pe_from_dsp_packing(self):
         assert max_conv_pes(HardwareBudget()) == 1090
@@ -269,6 +285,34 @@ class TestSearchAccelerator:
         digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
         assert digest == CORPUS_DESIGNS_SHA256
 
+    def test_search_runs_no_scalar_cost_code(self, monkeypatch):
+        # The sweep tables are the search path's only cost computation: a
+        # design's buffer and report come from its chosen rows, so the
+        # scalar path stays an independent check of them.
+        from chunknas import accel, cosearch as cs, reproduce
+        from chunknas.refdata import bundled_workloads
+
+        cfg = RunConfig()
+        budget = effective_budget(cfg.budget, cfg.constraint)
+        rng = random.Random(0)
+        nets = [sample_random(cfg.space, rng) for _ in range(2)]
+        suite = bundled_workloads()
+
+        def designs():
+            return ([search_accelerator(net, cfg.space, budget, cfg.coeffs) for net in nets],
+                    [c.to_dict() for c in reproduce.compare_workloads(suite, cfg.coeffs)])
+
+        expected = designs()
+
+        def scalar(*args, **kwargs):
+            raise AssertionError("the search ran the scalar cost model")
+
+        for module in (accel, cs, reproduce):
+            for name in ("layer_latency", "pipeline_perf", "min_gb_size", "chunk_cycle_totals"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, scalar)
+        assert designs() == expected
+
     def test_all_conv_genome_degenerate_chunks(self):
         space = tiny_space()
         net = SubNetwork(
@@ -304,15 +348,25 @@ class TestSearchAccelerator:
         (LayerType.ADDER, {"fine_phase": False}),
     ])
     def test_ablation_hand_tile_over_buffer_is_infeasible(self, kind, phases):
-        # The hand tile (1, 16, 16, 8, 8) of a 5x5 layer needs about 20 kB,
-        # more than the 18432 B of four block RAMs: a typed search failure,
-        # not a tile error.
-        budget = HardwareBudget(dsp_total=64, lut_total=12000,
-                                bram_bits_total=4 * 36864,
-                                dsp_reserve_frac=0.5, lut_overhead=500)
+        # The hand tile (1, 16, 16, 8, 8) of a 5x5 layer needs about 20 kB
+        # (15-bit conv outputs, 9-bit adder outputs), more than the 18432 B
+        # of four block RAMs: a typed search failure, not a tile error.
         layers = [LayerDescriptor(kind, 32, 32, 5, 1, 1, 16, 16)]
-        with pytest.raises(InfeasibleBudget, match=f"chunk {kind.short}"):
-            search_accelerator_layers(layers, budget, COEFFS, **phases)
+        ws = {LayerType.CONV: 21248, LayerType.ADDER: 19712}[kind]
+        with pytest.raises(InfeasibleBudget) as exc:
+            search_accelerator_layers(layers, four_bram_budget(), COEFFS, **phases)
+        assert str(exc.value) == _hand_tile_error(kind, ws)
+
+    @pytest.mark.filterwarnings("ignore::chunknas.cosearch.NoConvLayers")
+    @pytest.mark.parametrize("layers,ws", [([TINY_ADDER, ADDER_5X5, ADDER_7X7, ADDER_5X5], 19712),
+                                           ([ADDER_7X7, TINY_ADDER, ADDER_5X5], 33664)],
+                             ids=["5x5-first", "7x7-first"])
+    def test_hand_tile_over_buffer_names_the_first_layer(self, layers, ws):
+        # The tiny layer fits; of the 5x5 and 7x7 layers, which do not, the
+        # error names the first in layer order.
+        with pytest.raises(InfeasibleBudget) as exc:
+            search_accelerator_layers(layers, four_bram_budget(), COEFFS, fine_phase=False)
+        assert str(exc.value) == _hand_tile_error(LayerType.ADDER, ws)
 
 
 class TestOracle:

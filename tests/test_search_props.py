@@ -7,8 +7,10 @@ on the bundled budget and grid the full search reaches 0.95 of the oracle's
 throughput on conv-free workloads, and a seeded corpus of mixed workloads
 states its tail; the per-chunk dataflow table equals a brute-force sweep
 over the scalar cost model at every PE count, also on chunks that mix one
-wide layer with narrow ones; and a table swept at a union of PE counts,
-restricted to a subset, equals the sweep at the subset."""
+wide layer with narrow ones, and so does the hand-dataflow table; every
+design's buffer and report, built from its table rows, equal the scalar
+path's; and a table swept at a union of PE counts, restricted to a subset,
+equals the sweep at the subset."""
 
 import random
 
@@ -20,6 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 from chunknas.accel import (
     AcceleratorConfig,
     ChunkConfig,
+    ChunkEval,
     Dataflow,
     EmptyFeasibleSet,
     HardwareBudget,
@@ -29,11 +32,13 @@ from chunknas.accel import (
     evaluate_dataflows,
     layer_latency,
     min_gb_size,
+    pipeline_perf,
 )
-from chunknas.cosearch import oracle_layers, search_accelerator_layers
+from chunknas.cosearch import (_chunk_evals, manual_dataflow, oracle_layers,
+                               search_accelerator_layers)
 from chunknas.refdata import bundled_workloads
 from chunknas.search_space import LayerDescriptor, LayerType
-from oracles import ref_best_dataflow, ref_dataflows, ref_tilings
+from oracles import ref_best_dataflow, ref_dataflows, ref_tilings, ref_working_set
 from test_cosearch import COEFFS
 
 CHANNELS = (1, 2, 3, 4, 8, 16, 32)
@@ -77,14 +82,26 @@ def test_every_variant_fits_or_is_infeasible(layers, budget):
                                                 coarse_phase, fine_phase)
             except InfeasibleBudget:
                 continue
-            res.config.assert_fits(budget)
-            assert res.config.gb_bytes == max(1, min_gb_size(res.config, layers, budget))
+            _assert_scalar_design(res, layers, budget)
             thr[coarse_phase, fine_phase] = res.report.throughput_gops
     # Fine-only >= coarse-only is not a property: the oracle suite's
     # ``ordering_expected`` flag gates that per workload.
     if thr:
         assert (True, True) in thr
         assert all(thr[True, True] >= t - 1e-9 for t in thr.values())
+    try:
+        oracle = oracle_layers(layers, budget, COEFFS, bundled_workloads()["grid"])
+    except InfeasibleBudget:
+        return
+    _assert_scalar_design(oracle, layers, budget)
+
+
+def _assert_scalar_design(res, layers, budget):
+    """The design fits its budget, and its buffer and report, built from
+    its table rows, are those the scalar path computes from the config."""
+    res.config.assert_fits(budget)
+    assert res.config.gb_bytes == max(1, min_gb_size(res.config, layers, budget))
+    assert res.report == pipeline_perf(layers, res.config, budget, COEFFS)
 
 
 @pytest.mark.filterwarnings("ignore::chunknas.cosearch.NoConvLayers")
@@ -223,6 +240,33 @@ def test_mixed_extents_table_equals_brute_force_sweep(case):
     assert table.nodes == len(pes) * 4 * len(ref_tilings(layers))
     assert table.feasible_dataflows == len(pes) * len(ref_dataflows(layers, gb, budget))
     assert 0 < table.feasible_dataflows < table.nodes
+
+
+@st.composite
+def hand_workload(draw) -> tuple[LayerType, list[LayerDescriptor]]:
+    """One chunk's layer set with deliberate duplicates, wide enough that
+    the hand tile clamps on some layers and not on others."""
+    kind = draw(st.sampled_from(list(LayerType)))
+    distinct = draw(st.lists(layer(kinds=(kind,)), min_size=1, max_size=3))
+    return kind, draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=6))
+
+
+@given(hand_workload(), st.lists(st.integers(1, 128), min_size=1, max_size=4, unique=True),
+       st.sampled_from((1.0, 4.0, 16.0)))
+@example((LayerType.ADDER, []), [1, 8], 4.0)
+def test_hand_table_equals_scalar_sum(workload, pes, bandwidth):
+    # With the search off, a chunk's rows are the hand dataflow's summed
+    # scalar cycles and its largest tile working set, at every PE count.
+    kind, layers = workload
+    budget = HardwareBudget(dram_bandwidth=bandwidth)
+    gb, df = budget.gb_bytes_max, manual_dataflow(layers)
+    table = _chunk_evals(kind, layers, pes, budget, False, None)
+    ws = max((ref_working_set(l, df.tiling, budget) for l in layers), default=0.0)
+    assert table.evals == {
+        pe: ChunkEval(df, sum(layer_latency(l, ChunkConfig(kind, pe, df), gb, budget)
+                              for l in layers), ws)
+        for pe in pes}
+    assert table.nodes == table.feasible_dataflows == len(pes)
 
 
 pe_subsets = st.lists(st.integers(1, 64), min_size=1, max_size=8, unique=True).flatmap(
