@@ -31,10 +31,6 @@ class TileExceedsBuffer(ValueError):
     pass
 
 
-class EmptyFeasibleSet(ValueError):
-    pass
-
-
 class InfeasibleBudget(ValueError):
     pass
 
@@ -167,7 +163,7 @@ class HardwareBudget:
 
     @classmethod
     def from_dict(cls, d: dict) -> "HardwareBudget":
-        """Missing keys keep their defaults; unknown keys are ignored."""
+        """Missing keys keep their defaults; an unknown key is a ValueError."""
         return load_fields(cls, d)
 
 
@@ -379,17 +375,28 @@ def _clamped_positions(n_chunk: int, n_own: int) -> np.ndarray:
     return out
 
 
+def _max_dims(layers: Sequence[LayerDescriptor]) -> tuple[int, int, int, int]:
+    """The non-empty layer set's largest t_cin, t_cout, t_h and t_w extents."""
+    return (
+        max(l.in_channels // l.groups for l in layers),
+        max(l.out_channels for l in layers),
+        max(l.out_h for l in layers),
+        max(l.out_w for l in layers),
+    )
+
+
 def _tiling_ladders(layers: Sequence[LayerDescriptor]) -> tuple[tuple[int, ...], ...]:
     """The power-of-two ladder of t_cin, t_cout, t_h and t_w up to the
     layer set's max dims; none for an empty set."""
+    return tuple(map(_pow2_ladder, _max_dims(layers))) if layers else ()
+
+
+def manual_dataflow(layers: Sequence[LayerDescriptor]) -> Dataflow:
+    """Hand-style fixed mapping used by the ablation baselines: weight
+    stationary with a 16x16 channel block over an 8x8 output block."""
     if not layers:
-        return ()
-    return (
-        _pow2_ladder(max(l.in_channels // l.groups for l in layers)),
-        _pow2_ladder(max(l.out_channels for l in layers)),
-        _pow2_ladder(max(l.out_h for l in layers)),
-        _pow2_ladder(max(l.out_w for l in layers)),
-    )
+        return EMPTY_CHUNK_DATAFLOW
+    return Dataflow(LoopOrder.WS, (1, *map(min, (16, 16, 8, 8), _max_dims(layers))))
 
 
 def tiling_count(layers: Sequence[LayerDescriptor]) -> int:
@@ -448,6 +455,44 @@ class DataflowTable:
                              self.nodes_per_pe, self.feasible_per_pe)
 
 
+def _fold(kind: LayerType, layers: Sequence[LayerDescriptor],
+          budget: HardwareBudget) -> Counter:
+    """The geometry of each distinct layer with its multiplicity, in
+    first-seen order; a layer of another kind than the chunk's is a
+    ValueError."""
+    folded = Counter()
+    for layer, count in Counter(layers).items():
+        if layer.op_type is not kind:
+            raise ValueError(f"layer {layer} assigned to chunk {kind}")
+        folded[_geom(layer, budget)] += count
+    return folded
+
+
+def hand_dataflow_table(kind: LayerType, layers: Sequence[LayerDescriptor], pe_counts: Sequence[int],
+                        gb_bytes: int, budget: HardwareBudget) -> DataflowTable:
+    """The chunk's table at its one hand dataflow (``manual_dataflow``),
+    costed like a sweep of that dataflow: one node per PE count, every PE
+    count in one broadcast. A hand tile that does not fit the buffer is an
+    InfeasibleBudget naming the first such layer's working set."""
+    df = manual_dataflow(layers)
+    pe_axis = np.asarray(pe_counts, dtype=np.int64)
+    total = np.zeros(len(pe_axis), dtype=np.float64)
+    ws_max = 0.0
+    for g, count in _fold(kind, layers, budget).items():
+        ws, tiles, tile_macs, mem = _layer_terms(g, *_clamp_tiles(g, df.tiling),
+                                                 budget.dram_bandwidth)
+        if ws > gb_bytes:
+            raise InfeasibleBudget(
+                f"hand dataflow tile {df.tiling} of chunk {kind.short} does not fit: "
+                f"tile working set {ws:.0f} B exceeds buffer {gb_bytes} B"
+            )
+        # Integer cycle counts: the float64 sums stay exact.
+        total += count * _cycles(tiles, tile_macs, mem[df.loop_order], pe_axis)
+        ws_max = max(ws_max, float(ws))
+    return DataflowTable({pe: ChunkEval(df, int(cycles), ws_max)
+                          for pe, cycles in zip(pe_counts, total)}, 1, 1)
+
+
 def evaluate_dataflows(
     kind: LayerType,
     layers: Sequence[LayerDescriptor],
@@ -475,16 +520,12 @@ def evaluate_dataflows(
     then the canonical loop-order preference WS < OS < IS < RS, then
     lexicographic tiling. Cycle counts are integers, so the folded float64
     sums are exact and every pick is the one a layer-by-layer sweep makes.
-    Raises EmptyFeasibleSet when no tiling fits the buffer.
+    Raises InfeasibleBudget when no tiling fits the buffer.
     """
     pes = list(pe_counts)
     if not layers:
         return DataflowTable({pe: ChunkEval(EMPTY_CHUNK_DATAFLOW, 0, 0.0) for pe in pes}, 1, 1)
-    folded = Counter()
-    for layer, count in Counter(layers).items():
-        if layer.op_type is not kind:
-            raise ValueError(f"layer {layer} assigned to chunk {kind}")
-        folded[_geom(layer, budget)] += count
+    folded = _fold(kind, layers, budget)
     arr = tiling_candidates(layers)
     grid_shape = tuple(map(len, _tiling_ladders(layers)))
     a = len(arr)
@@ -516,7 +557,7 @@ def evaluate_dataflows(
         np.maximum(ws_max, ws, out=ws_max)
     feasible = ws_max <= gb_bytes
     if not feasible.any():
-        raise EmptyFeasibleSet(
+        raise InfeasibleBudget(
             f"no tiling fits a {gb_bytes} B buffer for chunk {kind.short}"
         )
     total[..., ~feasible] = np.inf

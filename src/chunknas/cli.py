@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import cosearch as cs
 from . import zeroshot
-from .accel import BRAM_BITS, EmptyFeasibleSet, InfeasibleBudget, TileExceedsBuffer
+from .accel import BRAM_BITS, InfeasibleBudget
 from .config import ParseError, RunConfig, load_run_config, read_json, read_text
 from .refdata import bundled_workloads, reference_tables
 from .reproduce import (
@@ -61,8 +61,6 @@ EXIT_CODES = {
     cs.GridTooLarge: (3, ""),
     cs.EmptyPopulation: (4, ""),
     InfeasibleBudget: (5, ""),
-    EmptyFeasibleSet: (5, ""),
-    TileExceedsBuffer: (5, ""),
 }
 
 
@@ -222,7 +220,8 @@ def cmd_search_accel(args, cfg: RunConfig) -> int:
         net = read_genome_file(args.genomes)[0]
     validate(cfg.space, net)
     out = _prepare_output(args)
-    accel_cfg, report = cs.search_accelerator(net, cfg.space, cfg.budget, cfg.coeffs)
+    budget = cs.effective_budget(cfg.budget, cfg.constraint)  # perf.csv's shares stay of cfg.budget
+    accel_cfg, report = cs.search_accelerator(net, cfg.space, budget, cfg.coeffs)
     _write_json(out / "accel_config.json", accel_cfg.to_dict())
     row = _perf_row(_genome_str(net), report, cfg.budget)
     _write_csv(out / "perf.csv", [row])

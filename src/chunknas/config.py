@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from .accel import EnergyCoeffs, HardwareBudget, fit_energy_coeffs
 from .cosearch import Constraint, SearchParams
 from .refdata import default_energy_coeffs
-from .search_space import FINITE, OpCounts, SearchSpace, check_value, default_space, seq
+from .search_space import FINITE, OpCounts, SearchSpace, check_keys, check_value, default_space, seq
 
 ENV_PREFIX = "CHUNKNAS"
 
@@ -63,6 +63,7 @@ class RunConfig:
 def _energy_from_dict(d: dict) -> EnergyCoeffs:
     """Either explicit coefficients or rows to fit them from:
     {"coeffs": {...}} or {"fit_rows": [[mults_m, shifts_m, adds_m, mj], ...]}."""
+    check_keys(d, ("coeffs", "fit_rows"), "energy")
     if "coeffs" in d:
         return EnergyCoeffs.from_dict(d["coeffs"])
     if "fit_rows" in d:
@@ -84,17 +85,14 @@ def apply_env_overrides(doc: dict, environ: dict | None = None) -> dict:
 
     The section is the first underscore-delimited token (budget, constraint,
     params, space, energy); the rest, lowercased, is the key. Values parse
-    as JSON literals, falling back to plain strings.
+    as JSON literals, falling back to plain strings. An unknown section or
+    key is passed on for ``load_run_config`` to report.
     """
     environ = os.environ if environ is None else environ
-    sections = (*SECTIONS, "energy")
     for name, raw in sorted(environ.items()):
         if not name.startswith(ENV_PREFIX + "_"):
             continue
-        rest = name[len(ENV_PREFIX) + 1 :].lower()
-        section, _, key = rest.partition("_")
-        if section not in sections or not key:
-            continue
+        section, _, key = name[len(ENV_PREFIX) + 1 :].lower().partition("_")
         doc.setdefault(section, {})[key] = _parse_env_value(raw)
     return doc
 
@@ -133,9 +131,11 @@ def load_run_config(
         doc = raw
     base = RunConfig().to_dict()
     try:
-        for section in (s for s in base if s in doc):
+        check_keys(doc, base, "top level")
+        for section in doc:
             check_value(doc[section], {}, section)  # a JSON object, before anything folds in
         doc = apply_env_overrides(doc, environ)
+        check_keys(doc, base, "environment")
         # Fill defaults for sections the document omits, then validate via
         # from_dict. The energy section is a choice (coeffs or fit_rows), not
         # field-wise.

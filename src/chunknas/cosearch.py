@@ -15,7 +15,6 @@ import itertools
 import math
 import random
 import warnings
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -27,23 +26,15 @@ from . import zeroshot
 from .accel import (
     AcceleratorConfig,
     ChunkConfig,
-    ChunkEval,
-    Dataflow,
     DataflowTable,
-    EMPTY_CHUNK_DATAFLOW,
-    EmptyFeasibleSet,
     EnergyCoeffs,
     HardwareBudget,
     InfeasibleBudget,
-    LoopOrder,
     LUT_PER_PE,
     PerfReport,
-    _clamp_tiles,
-    _cycles,
-    _geom,
-    _layer_terms,
     chunk_lut,
     evaluate_dataflows,
+    hand_dataflow_table,
     perf_report,
     tiling_count,
 )
@@ -100,21 +91,6 @@ def split_by_type(layers: Sequence[LayerDescriptor]) -> dict[LayerType, list[Lay
     return out
 
 
-def manual_dataflow(layers: Sequence[LayerDescriptor]) -> Dataflow:
-    """Hand-style fixed mapping used by the ablation baselines: weight
-    stationary with a 16x16 channel block over an 8x8 output block."""
-    if not layers:
-        return EMPTY_CHUNK_DATAFLOW
-    ci = max(l.in_channels // l.groups for l in layers)
-    co = max(l.out_channels for l in layers)
-    h = max(l.out_h for l in layers)
-    w = max(l.out_w for l in layers)
-    return Dataflow(
-        LoopOrder.WS,
-        (1, min(16, ci), min(16, co), min(8, h), min(8, w)),
-    )
-
-
 def max_conv_pes(budget: HardwareBudget) -> int:
     """Largest conv-chunk PE count the platform admits: DSP packing bound,
     capped so one PE of each LUT chunk still fits the LUT budget."""
@@ -132,48 +108,17 @@ def _no_conv_pe(budget: HardwareBudget) -> InfeasibleBudget:
     )
 
 
-def _sweep(kind: LayerType, layers: Sequence[LayerDescriptor], pes: Sequence[int],
-           budget: HardwareBudget) -> DataflowTable:
-    """The chunk's full dataflow sweep at ``pes`` with the buffer
-    provisionally at its maximum. A buffer no dataflow fits is an
-    infeasible budget."""
-    try:
-        return evaluate_dataflows(kind, layers, pes, budget.gb_bytes_max, budget)
-    except EmptyFeasibleSet as exc:
-        raise InfeasibleBudget(str(exc)) from exc
-
-
 def _chunk_evals(kind: LayerType, layers: Sequence[LayerDescriptor], pes: Sequence[int],
                  budget: HardwareBudget, search: bool,
                  swept: dict[LayerType, DataflowTable] | None) -> DataflowTable:
-    """Per-chunk table: for every PE count, the chunk's best dataflow with
-    its cycles and working set, read from ``swept`` (the chunk's sweep at a
-    superset of ``pes``) or swept here; or with ``search`` off the hand
-    dataflow, costed like a sweep of that one dataflow (one node per PE
-    count), with the buffer provisionally at its maximum. A buffer no
-    dataflow fits is an infeasible budget, as is a hand tile that does not
-    fit it."""
-    if search:
-        return swept[kind].restrict(pes) if swept else _sweep(kind, layers, pes, budget)
-    gb = budget.gb_bytes_max
-    df = manual_dataflow(layers)
-    pe_axis = np.asarray(pes, dtype=np.int64)
-    total = np.zeros(len(pes), dtype=np.float64)
-    ws_max = 0.0
-    for layer, count in Counter(layers).items():
-        g = _geom(layer, budget)
-        ws, tiles, tile_macs, mem = _layer_terms(g, *_clamp_tiles(g, df.tiling),
-                                                 budget.dram_bandwidth)
-        if ws > gb:
-            raise InfeasibleBudget(
-                f"hand dataflow tile {df.tiling} of chunk {kind.short} does not fit: "
-                f"tile working set {ws:.0f} B exceeds buffer {gb} B"
-            )
-        # Integer cycle counts: the float64 sums stay exact.
-        total += count * _cycles(tiles, tile_macs, mem[df.loop_order], pe_axis)
-        ws_max = max(ws_max, float(ws))
-    return DataflowTable({pe: ChunkEval(df, int(cycles), ws_max)
-                          for pe, cycles in zip(pes, total)}, 1, 1)
+    """Per-chunk table with the buffer provisionally at its maximum: the
+    chunk's sweep at ``pes``, read from ``swept`` (the chunk's sweep at a
+    superset of ``pes``) or swept here, or with ``search`` off its
+    hand-dataflow table."""
+    if search and swept:
+        return swept[kind].restrict(pes)
+    price = evaluate_dataflows if search else hand_dataflow_table
+    return price(kind, layers, pes, budget.gb_bytes_max, budget)
 
 
 @dataclass
@@ -438,10 +383,12 @@ def comparison_tables(
     except (KeyError, TypeError, ValueError):  # oracle_layers raises it after the searches
         extra = dict.fromkeys(_KIND_ORDER, ())
     pe_c = _coarse_pe(by_type[LayerType.CONV], budget)
-    swept = {LayerType.CONV: _sweep(LayerType.CONV, by_type[LayerType.CONV],
-                                    sorted({pe_c, *extra[LayerType.CONV]}), budget)}
+    gb = budget.gb_bytes_max
+    swept = {LayerType.CONV: evaluate_dataflows(LayerType.CONV, by_type[LayerType.CONV],
+                                                sorted({pe_c, *extra[LayerType.CONV]}), gb, budget)}
     for kind, pes in zip((LayerType.SHIFT, LayerType.ADDER), fine_pe_counts(layers, budget, pe_c)):
-        swept[kind] = _sweep(kind, by_type[kind], sorted({*pes, *extra[kind]}), budget)
+        swept[kind] = evaluate_dataflows(kind, by_type[kind], sorted({*pes, *extra[kind]}), gb,
+                                         budget)
     return swept
 
 

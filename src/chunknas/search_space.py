@@ -169,10 +169,19 @@ def _jsonable(v):
     return v.name if isinstance(v, Enum) else v
 
 
+def check_keys(d: dict, known, where: str) -> None:
+    """ValueError naming the first key of ``d`` that ``known`` lacks."""
+    unknown = [k for k in d if k not in known]
+    if unknown:
+        raise ValueError(f"{where}: unknown key {unknown[0]!r}")
+
+
 def load_fields(cls, d: dict, **given):
     """``cls`` from a JSON object under its declared keys: missing keys keep
-    their defaults, unknown keys are ignored, ``given`` fields win."""
-    return cls(**{**{f.name: d[_key(f)] for f in fields(cls) if _key(f) in d}, **given})
+    their defaults, an unknown key is a ValueError, ``given`` fields win."""
+    keys = {_key(f): f.name for f in fields(cls)}
+    check_keys(d, keys, cls.__name__)
+    return cls(**{**{keys[k]: v for k, v in d.items()}, **given})
 
 
 @dataclass(frozen=True)
@@ -304,9 +313,10 @@ class LayerDescriptor:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LayerDescriptor":
-        """A layer from a JSON object (``groups`` defaults to 1). Its values
-        are checked here, not in ``__post_init__``, which every layer that
-        ``expand_blocks`` builds runs."""
+        """A layer from a JSON object (``groups`` defaults to 1, another key
+        is an error). Its values are checked here, not in ``__post_init__``,
+        which every layer that ``expand_blocks`` builds runs."""
+        check_keys(d, _LAYER_KEYS, "layer")
         return cls(**check_value({"groups": 1, **d}, _LAYER_KEYS, "layer"))
 
 

@@ -25,8 +25,8 @@ from chunknas.accel import (
     ChunkConfig,
     ChunkEval,
     Dataflow,
-    EmptyFeasibleSet,
     HardwareBudget,
+    InfeasibleBudget,
     LoopOrder,
     layer_latency,
 )
@@ -450,11 +450,11 @@ def ref_working_set(layer, tiling, budget):
 
 def ref_dataflows(layers, gb_bytes, budget):
     """Every dataflow whose tiles fit the buffer for all layers, loop order
-    major, tilings in lexicographic order; EmptyFeasibleSet when none does."""
+    major, tilings in lexicographic order; InfeasibleBudget when none does."""
     fits = [t for t in ref_tilings(layers)
             if all(ref_working_set(l, t, budget) <= gb_bytes for l in layers)]
     if not fits:
-        raise EmptyFeasibleSet(f"no tiling fits a {gb_bytes} B buffer")
+        raise InfeasibleBudget(f"no tiling fits a {gb_bytes} B buffer")
     return [Dataflow(order, t) for order in LoopOrder for t in fits]
 
 

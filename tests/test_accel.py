@@ -9,9 +9,9 @@ from chunknas.accel import (
     AcceleratorConfig,
     ChunkConfig,
     Dataflow,
-    EmptyFeasibleSet,
     EnergyCoeffs,
     HardwareBudget,
+    InfeasibleBudget,
     LoopOrder,
     PerfReport,
     SingularSystem,
@@ -20,6 +20,7 @@ from chunknas.accel import (
     chunk_lut,
     evaluate_dataflows,
     fit_energy_coeffs,
+    hand_dataflow_table,
     layer_latency,
     min_gb_size,
     pipeline_perf,
@@ -86,8 +87,6 @@ class TestResourceUsage:
         assert resource_usage(cfg, lut_overhead=11000)[1] == 37 + 34 + 29 + 11000
 
     def test_assert_fits_budget(self):
-        from chunknas.accel import InfeasibleBudget
-
         budget = HardwareBudget()
         make_config(pe_c=1090, pe_s=272, pe_a=171, gb=40000).assert_fits(budget)
         with pytest.raises(InfeasibleBudget):
@@ -204,10 +203,21 @@ class TestEnumerateDataflows:
 
     def test_infeasible_buffer_raises(self):
         layer = LayerDescriptor(LayerType.CONV, 8, 8, 3, 1, 1, 8, 8)
-        with pytest.raises(EmptyFeasibleSet):
+        with pytest.raises(InfeasibleBudget, match="no tiling fits"):
             ref_dataflows([layer], 8, HardwareBudget())
-        with pytest.raises(EmptyFeasibleSet):
+        with pytest.raises(InfeasibleBudget, match="no tiling fits"):
             evaluate_dataflows(LayerType.CONV, [layer], [8], 8, HardwareBudget())
+
+    def test_hand_table_rejects_a_layer_of_another_kind_like_the_sweep(self):
+        # The hand table once priced a stray layer on the wrong chunk.
+        layers = [LayerDescriptor(LayerType.SHIFT, 4, 4, 1, 1, 1, 4, 4),
+                  LayerDescriptor(LayerType.ADDER, 4, 4, 1, 1, 1, 4, 4)]
+        errors = []
+        for price in (evaluate_dataflows, hand_dataflow_table):
+            with pytest.raises(ValueError, match="ADDER.* assigned to chunk LayerType.SHIFT") as exc:
+                price(LayerType.SHIFT, layers, [4], 1 << 20, HardwareBudget())
+            errors.append((type(exc.value), str(exc.value)))
+        assert errors[0] == errors[1] and errors[0][0] is ValueError
 
     def test_empty_layer_set_one_node_per_pe(self):
         table = evaluate_dataflows(LayerType.SHIFT, [], [1, 4, 16], 8, HardwareBudget())

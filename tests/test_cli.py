@@ -134,7 +134,83 @@ class TestSearchAccel:
         assert "budget" in capsys.readouterr().err
 
 
+    def test_searches_within_the_constraint(self, tmp_path):
+        # Once searched the platform budget: a 545-DSP design under max_dsp 1.
+        from chunknas.cosearch import effective_budget, search_accelerator
+        from chunknas.search_space import SubNetwork
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"constraint": {"max_dsp": 100}}))
+        out, genome = tmp_path / "out", flat_genome_str(4)
+        assert main(["--config", str(cfg), "--output", str(out),
+                     "search-accel", "--genome", genome]) == 0
+        run = load_run_config(str(cfg), environ={})
+        expected, _ = search_accelerator(SubNetwork.from_flat(map(int, genome.split("-"))),
+                                         run.space, effective_budget(run.budget, run.constraint),
+                                         run.coeffs)
+        assert json.loads((out / "accel_config.json").read_text()) == expected.to_dict()
+        header, row = (out / "perf.csv").read_text().strip().splitlines()
+        cols = dict(zip(header.split(","), row.split(",")))
+        assert int(cols["dsp"]) <= 100
+        # Shares stay against the platform's 1248 DSPs.
+        assert float(cols["dsp_pct"]) == pytest.approx(100 * int(cols["dsp"]) / 1248, abs=1e-3)
+
+
+def _suite_with(edit) -> dict:
+    suite = bundled_workloads()
+    edit(suite)
+    return suite
+
+
+def _stage_key_typo() -> dict:
+    space = default_space().to_dict()
+    space["stages"][2]["chanels"] = space["stages"][2].pop("channels")
+    return {"space": space}
+
+
+# Each misspelled key or section once loaded silently: the key ignored, or
+# the layer read with the default groups of 1. (input, document, key named)
+UNKNOWN_KEYS = {
+    "budget key": ("config", {"budget": {"lut_totl": 1000}}, "lut_totl"),
+    "section": ("config", {"parms": {"population": 2}}, "parms"),
+    "stage key": ("config", _stage_key_typo(), "chanels"),
+    "energy key": ("config", {"energy": {"fit_row": [[1, 0, 0, 1]]}}, "fit_row"),
+    "env key": ("env", {"CHUNKNAS_BUDGET_DRAM_BANDWIDTH": "16"}, "dram_bandwidth"),
+    "env section": ("env", {"CHUNKNAS_PARMS_POPULATION": "2"}, "parms"),
+    "suite budget key": ("suite", _suite_with(lambda s: s["budget"].update(lut_totl=1)),
+                         "lut_totl"),
+    "suite layer key": ("suite", _suite_with(lambda s: s["workloads"][0]["layers"].append(
+        {"op_type": "adder", "in_channels": 8, "out_channels": 8, "kernel": 3, "stride": 1,
+         "group": 8, "in_h": 4, "in_w": 4})), "group"),
+}
+
+
+@pytest.mark.parametrize("case", UNKNOWN_KEYS)
+def test_unknown_key_exits_2(tmp_path, capsys, monkeypatch, case):
+    source, doc, key = UNKNOWN_KEYS[case]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    if source == "env":
+        for name, raw in doc.items():
+            monkeypatch.setenv(name, raw)
+    argv = ["oracle-compare", "--workloads", str(path)] if source == "suite" else \
+        ["--config", str(path), "cosearch", "--dry-run"] if source == "config" else \
+        ["cosearch", "--dry-run"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and f"unknown key {key!r}" in captured.err
+
+
 class TestCosearchCmd:
+    def test_dry_run_document_loads_as_config(self, tmp_path, capsys):
+        assert main(["--config", str(tiny_run_config(tmp_path)), "cosearch", "--dry-run"]) == 0
+        printed = capsys.readouterr().out
+        path = tmp_path / "resolved.json"
+        path.write_text(printed)
+        assert main(["--config", str(path), "cosearch", "--dry-run"]) == 0
+        assert capsys.readouterr().out == printed
+
     def test_dry_run_touches_nothing(self, tmp_path, capsys):
         cfg = tiny_run_config(tmp_path)
         out = tmp_path / "never"

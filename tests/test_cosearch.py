@@ -14,6 +14,7 @@ from chunknas.accel import (
     InfeasibleBudget,
     LoopOrder,
     evaluate_dataflows,
+    manual_dataflow,
 )
 from chunknas.config import RunConfig
 from chunknas.cosearch import (
@@ -30,7 +31,6 @@ from chunknas.cosearch import (
     eq9_pe_init,
     fine_search,
     free_lut_pe_init,
-    manual_dataflow,
     max_conv_pes,
     oracle_layers,
     search_accelerator,
@@ -610,6 +610,16 @@ class TestCosearch:
         candidate = CandidateEval(net, res.config, res.report, nn_degree=3.5, zen=None)
         doc = json.dumps(candidate.to_dict(12), allow_nan=False)  # must not raise
         assert json.loads(doc)["zen_score"] is None
+
+
+def test_cosearch_binds_no_private_accel_name():
+    # accel prices designs and cosearch picks them: the cost model's
+    # kernels are reached only through accel's public tables.
+    from chunknas import accel, cosearch as cs
+
+    private = [v for k, v in vars(accel).items() if k.startswith("_") and not k.startswith("__")]
+    assert private
+    assert [k for k, v in vars(cs).items() if any(v is p for p in private)] == []
 
 
 class TestManualDataflow:

@@ -24,18 +24,18 @@ from chunknas.accel import (
     ChunkConfig,
     ChunkEval,
     Dataflow,
-    EmptyFeasibleSet,
     HardwareBudget,
     InfeasibleBudget,
     LoopOrder,
     chunk_cycle_totals,
     evaluate_dataflows,
+    hand_dataflow_table,
     layer_latency,
+    manual_dataflow,
     min_gb_size,
     pipeline_perf,
 )
-from chunknas.cosearch import (_chunk_evals, manual_dataflow, oracle_layers,
-                               search_accelerator_layers)
+from chunknas.cosearch import oracle_layers, search_accelerator_layers
 from chunknas.refdata import bundled_workloads
 from chunknas.search_space import LayerDescriptor, LayerType
 from oracles import ref_best_dataflow, ref_dataflows, ref_tilings, ref_working_set
@@ -188,8 +188,8 @@ def test_table_equals_brute_force_sweep(workload, pes, gb, bandwidth):
     budget = HardwareBudget(dram_bandwidth=bandwidth)
     try:
         expected = {pe: ref_best_dataflow(kind, layers, pe, gb, budget) for pe in pes}
-    except EmptyFeasibleSet:
-        with pytest.raises(EmptyFeasibleSet):
+    except InfeasibleBudget:
+        with pytest.raises(InfeasibleBudget, match="no tiling fits"):
             evaluate_dataflows(kind, layers, pes, gb, budget)
         return
     table = evaluate_dataflows(kind, layers, pes, gb, budget)
@@ -260,7 +260,7 @@ def test_hand_table_equals_scalar_sum(workload, pes, bandwidth):
     kind, layers = workload
     budget = HardwareBudget(dram_bandwidth=bandwidth)
     gb, df = budget.gb_bytes_max, manual_dataflow(layers)
-    table = _chunk_evals(kind, layers, pes, budget, False, None)
+    table = hand_dataflow_table(kind, layers, pes, gb, budget)
     ws = max((ref_working_set(l, df.tiling, budget) for l in layers), default=0.0)
     assert table.evals == {
         pe: ChunkEval(df, sum(layer_latency(l, ChunkConfig(kind, pe, df), gb, budget)
@@ -286,8 +286,8 @@ def test_restricted_table_equals_own_sweep(workload, pe_sets, gb, bandwidth):
     budget = HardwareBudget(dram_bandwidth=bandwidth)
     try:
         own = evaluate_dataflows(kind, layers, subset, gb, budget)
-    except EmptyFeasibleSet:
-        with pytest.raises(EmptyFeasibleSet):
+    except InfeasibleBudget:
+        with pytest.raises(InfeasibleBudget, match="no tiling fits"):
             evaluate_dataflows(kind, layers, union, gb, budget)
         return
     table = evaluate_dataflows(kind, layers, union, gb, budget).restrict(subset)
