@@ -5,6 +5,27 @@ buffer; a layer's cycle count is max(compute, memory) under double buffering.
 Compute cycles follow the tiled-loop model: number of tiles times
 ceil(tile work / PE count). Memory cycles charge DRAM traffic under the
 stationary-operand reuse rule of the chosen loop order.
+
+One kernel prices a layer (``_layer_terms``), for the dataflow sweep, the
+hand-dataflow table, ``layer_latency`` and ``min_gb_size`` alike. Every
+term of the loop nest is a product of a channel factor, over the
+(t_cin, t_cout) tile pairs, and a spatial factor, over the (t_h, t_w)
+pairs: tile counts and MACs per tile are int64 outer products, and each
+loop order's traffic and the working set are sums of three channel-row
+times spatial-row products, so the four orders' traffic is one stacked
+(4, channel pairs, 3) @ (4, 3, spatial pairs) product. The product is
+exact: every term is an integer, or an integer times ``bits / 8``, so each
+value is a multiple of 1/8 far below 2**50 (the stock space's largest is
+about 2**22), and float64 computes it exactly under any association,
+BLAS's included. The division by the bandwidth and the ceiling then see
+the same values as a term-by-term formula.
+
+The sweep reads both factors on the layer's own ladders from two
+unbounded caches, keyed by what each depends on: (ci, co, kernel, dense,
+weight bytes) and (h, w, stride, kernel, activation bytes, output bytes).
+2,560 random stock genomes hold 384 channel keys (1.6 MB) and 47 spatial
+keys (0.03 MB). A cached factor is one read-only block, shared by every
+thread that sweeps.
 """
 
 from __future__ import annotations
@@ -14,7 +35,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -234,89 +255,172 @@ def chunk_lut(pe_c: int, pe_s: int, pe_a: int, lut_overhead: int = 0) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _LayerGeom:
+class _ChannelGeom(NamedTuple):
+    """What a layer's channel factor depends on."""
+
+    ci: int        # reduction channels (in_channels / groups)
+    co: int
+    kernel: int
+    dense: bool    # groups == 1
+    w_bytes: float
+
+
+class _SpatialGeom(NamedTuple):
+    """What a layer's spatial factor depends on."""
+
+    h: int         # output rows
+    w: int
+    stride: int
+    kernel: int
+    act_bytes: float
+    out_bytes: float
+
+
+class _LayerGeom(NamedTuple):
     """Static per-layer quantities used by the latency model."""
 
-    ci: int       # reduction channels (in_channels / groups)
-    co: int
-    h: int        # output rows
-    w: int
-    kernel: int
-    stride: int
-    dense: bool   # groups == 1
-    act_bytes: float
-    w_bytes: float
-    out_bytes: float
+    channel: _ChannelGeom
+    spatial: _SpatialGeom
 
 
 def _geom(layer: LayerDescriptor, budget: HardwareBudget) -> _LayerGeom:
     return _LayerGeom(
-        ci=layer.in_channels // layer.groups,
-        co=layer.out_channels,
-        h=layer.out_h,
-        w=layer.out_w,
-        kernel=layer.kernel,
-        stride=layer.stride,
-        dense=layer.groups == 1,
-        act_bytes=budget.act_bits / 8,
-        w_bytes=budget.weight_bits(layer.op_type) / 8,
-        out_bytes=budget.out_bits(layer.op_type) / 8,
+        _ChannelGeom(layer.in_channels // layer.groups, layer.out_channels, layer.kernel,
+                     layer.groups == 1, budget.weight_bits(layer.op_type) / 8),
+        _SpatialGeom(layer.out_h, layer.out_w, layer.stride, layer.kernel,
+                     budget.act_bits / 8, budget.out_bits(layer.op_type) / 8),
     )
 
 
-def _clamp_tiles(g: _LayerGeom, tiling):
-    _, t_ci, t_co, t_h, t_w = tiling
-    return (
-        np.minimum(t_ci, g.ci),
-        np.minimum(t_co, g.co),
-        np.minimum(t_h, g.h),
-        np.minimum(t_w, g.w),
-    )
+class _Factor(NamedTuple):
+    """One half of a layer's cost over the tile pairs of one half of the
+    tiling, (t_cin, t_cout) or (t_h, t_w), flattened row-major from
+    ``shape``: the tile count and the work per tile along the half (int64),
+    and the float64 ``rows`` whose products make the traffic and the
+    working set (``_CHANNEL_ROWS``, ``_SPATIAL_ROWS``). All three are views
+    of one block."""
+
+    counts: np.ndarray
+    work: np.ndarray
+    rows: np.ndarray
+    shape: tuple[int, int]
 
 
-def _tile_bytes(g: _LayerGeom, tci, tco, th, tw):
-    """(input, weight, output) bytes of one live tile set."""
-    in_h = (th - 1) * g.stride + g.kernel
-    in_w = (tw - 1) * g.stride + g.kernel
-    in_ch = tci if g.dense else tco
-    in_bytes = in_ch * in_h * in_w * g.act_bytes
-    w_bytes = tco * tci * g.kernel ** 2 * g.w_bytes
-    out_bytes = tco * th * tw * g.out_bytes
-    return in_bytes, w_bytes, out_bytes
+def _factor_block(n_rows: int, shape: tuple[int, int]):
+    """An int64 block for a factor over ``shape``: tile counts, work, and
+    ``n_rows`` float64 rows, all on the tile-pair grid."""
+    block = np.empty((2 + n_rows, *shape), dtype=np.int64)
+    return block, block[0], block[1], block[2:].view(np.float64)
 
 
-def _working_set(in_b, w_b, o_b):
-    return 2.0 * (in_b + w_b + o_b)  # double buffered
+def _factor(block: np.ndarray) -> _Factor:
+    """The filled ``block`` made read-only, as a factor of flat views."""
+    block.flags.writeable = False
+    flat = block.reshape(len(block), -1)
+    return _Factor(flat[0], flat[1], flat[2:].view(np.float64), block.shape[1:])
+
+
+# Rows of a channel factor, with n_c = n_ci * n_co channel tile pairs, wt
+# the weight tile bytes, and in_ch, n_in the input tile's channels and
+# their tile count (t_cin, n_ci dense; t_cout, n_co depthwise):
+#   0 n_c * wt   1 n_c * in_ch   2 n_c * t_cout   3 n_co * t_cout
+#   4 n_in * in_ch   5 2 in_ch   6 2 wt   7 2 t_cout
+# Rows of a spatial factor, with n_s = n_h * n_w spatial tiles, halo the
+# input tile's rows times columns times act_bytes, and ot the output tile
+# bytes per output channel:
+#   0 n_s   1 n_s * halo   2 n_s * ot   3 halo   4 1   5 ot
+# A loop order's DRAM traffic is the sum over j of channel row C[j] times
+# spatial row S[j], in LoopOrder order:
+#   WS weights once per channel pair, input and output once per tile;
+#   OS outputs once per output tile, input and weights once per tile;
+#   IS inputs once per input tile, weights and output once per tile;
+#   RS weights once per channel pair, inputs once per input tile, output
+#   once per tile.
+_CHANNEL_ROWS = np.array([[0, 1, 2], [3, 1, 0], [4, 0, 2], [0, 4, 2]])
+_SPATIAL_ROWS = np.array([[4, 1, 2], [2, 1, 0], [1, 0, 2], [4, 1, 2]])
+# The double-buffered working set, 2 (input + weight + output bytes).
+_CHANNEL_WS, _SPATIAL_WS = slice(5, 8), slice(3, 6)
+
+
+def _channel_factor(g: _ChannelGeom, t_cin: Sequence[int], t_cout: Sequence[int]) -> _Factor:
+    """The channel factor of ``g`` over the (t_cin, t_cout) pairs; tiles
+    beyond an extent are the caller's to clamp."""
+    t_ci = np.asarray(t_cin, dtype=np.int64)[:, None]
+    t_co = np.asarray(t_cout, dtype=np.int64)[None, :]
+    n_ci, n_co = _ceil_div(g.ci, t_ci), _ceil_div(g.co, t_co)
+    in_ch, n_in = (t_ci, n_ci) if g.dense else (t_co, n_co)
+    block, counts, work, rows = _factor_block(8, (t_ci.size, t_co.size))
+    np.multiply(n_ci, n_co, out=counts)
+    np.multiply(t_ci * t_co, g.kernel ** 2, out=work)
+    np.multiply(work, g.w_bytes, out=rows[6])
+    np.multiply(counts, rows[6], out=rows[0])
+    np.multiply(counts, in_ch, out=rows[1])
+    np.multiply(counts, t_co, out=rows[2])
+    np.multiply(n_co, t_co, out=rows[3])
+    np.multiply(n_in, in_ch, out=rows[4])
+    rows[5] = in_ch
+    rows[7] = t_co
+    rows[5:] *= 2.0
+    return _factor(block)
+
+
+def _spatial_factor(g: _SpatialGeom, t_h: Sequence[int], t_w: Sequence[int]) -> _Factor:
+    """The spatial factor of ``g`` over the (t_h, t_w) pairs; tiles beyond
+    an extent are the caller's to clamp."""
+    t_h = np.asarray(t_h, dtype=np.int64)[:, None]
+    t_w = np.asarray(t_w, dtype=np.int64)[None, :]
+    block, counts, work, rows = _factor_block(6, (t_h.size, t_w.size))
+    np.multiply(_ceil_div(g.h, t_h), _ceil_div(g.w, t_w), out=counts)
+    np.multiply(t_h, t_w, out=work)
+    in_rows, in_cols = (t_h - 1) * g.stride + g.kernel, (t_w - 1) * g.stride + g.kernel
+    np.multiply(in_rows * in_cols, g.act_bytes, out=rows[3])
+    rows[4] = 1.0
+    np.multiply(work, g.out_bytes, out=rows[5])
+    rows[0] = counts
+    np.multiply(counts, rows[3], out=rows[1])
+    np.multiply(counts, rows[5], out=rows[2])
+    return _factor(block)
+
+
+@functools.lru_cache(maxsize=None)
+def _own_channel_factor(g: _ChannelGeom) -> _Factor:
+    """``_channel_factor`` on the layer's own t_cin and t_cout ladders."""
+    return _channel_factor(g, _pow2_ladder(g.ci), _pow2_ladder(g.co))
+
+
+@functools.lru_cache(maxsize=None)
+def _own_spatial_factor(g: _SpatialGeom) -> _Factor:
+    """``_spatial_factor`` on the layer's own t_h and t_w ladders."""
+    return _spatial_factor(g, _pow2_ladder(g.h), _pow2_ladder(g.w))
 
 
 def _ceil_div(a, b):
     return -(-a // b)
 
 
-def _layer_terms(g: _LayerGeom, tci, tco, th, tw, bandwidth: float):
-    """PE-independent part of the cost model: (working set, tiles, MACs per
-    tile, memory cycles of the four loop orders stacked on a leading axis in
-    LoopOrder order). Memory cycles charge DRAM traffic under the
-    stationary-operand reuse rule of each order."""
-    n_ci = _ceil_div(g.ci, tci)
-    n_co = _ceil_div(g.co, tco)
-    n_h = _ceil_div(g.h, th)
-    n_w = _ceil_div(g.w, tw)
-    tiles = n_ci * n_co * n_h * n_w
-    tile_macs = tci * tco * th * tw * g.kernel ** 2
+def _layer_terms(ch: _Factor, sp: _Factor, bandwidth: float):
+    """PE-independent part of the cost model at every pair of a channel
+    tile pair of ``ch`` and a spatial tile pair of ``sp``, each a
+    (channel pairs, spatial pairs) array: (working set, tiles, MACs per
+    tile, memory cycles of the four loop orders stacked on a leading axis
+    in LoopOrder order). Every term is a sum of channel-row times
+    spatial-row products, each a multiple of 1/8 far below 2**50, so
+    float64 computes it exactly in any association."""
+    traffic = np.matmul(ch.rows[_CHANNEL_ROWS].transpose(0, 2, 1), sp.rows[_SPATIAL_ROWS])
+    traffic /= bandwidth
+    return (ch.rows[_CHANNEL_WS].T @ sp.rows[_SPATIAL_WS], np.multiply.outer(ch.counts, sp.counts),
+            np.multiply.outer(ch.work, sp.work), np.ceil(traffic, out=traffic))
 
-    in_b, w_b, o_b = _tile_bytes(g, tci, tco, th, tw)
-    dist_w = n_co * n_ci
-    dist_o = n_co * n_h * n_w
-    dist_i = (n_ci if g.dense else n_co) * n_h * n_w
-    traffic = np.stack([
-        dist_w * w_b + tiles * (in_b + o_b),           # WS
-        dist_o * o_b + tiles * (in_b + w_b),           # OS
-        dist_i * in_b + tiles * (w_b + o_b),           # IS
-        dist_w * w_b + dist_i * in_b + tiles * o_b,    # RS
-    ])
-    return _working_set(in_b, w_b, o_b), tiles, tile_macs, np.ceil(traffic / bandwidth)
+
+def _terms_at(g: _LayerGeom, tiling, bandwidth: float):
+    """``_layer_terms`` of ``g`` at one tiling, each tile clamped to the
+    layer's extent: scalars and the (4,) memory cycles."""
+    _, t_ci, t_co, t_h, t_w = tiling
+    c, s = g
+    ws, tiles, tile_macs, mem = _layer_terms(
+        _channel_factor(c, [min(t_ci, c.ci)], [min(t_co, c.co)]),
+        _spatial_factor(s, [min(t_h, s.h)], [min(t_w, s.w)]), bandwidth)
+    return ws[0, 0], tiles[0, 0], tile_macs[0, 0], mem[:, 0, 0]
 
 
 def _cycles(tiles, tile_macs, mem, pe_count, out=None):
@@ -335,8 +439,7 @@ def layer_latency(
     """Cycles to run one layer on its chunk: max(compute, memory)."""
     if layer.op_type is not chunk.chunk_kind:
         raise ValueError(f"layer type {layer.op_type} does not match chunk {chunk.chunk_kind}")
-    g = _geom(layer, budget)
-    ws, *terms = _layer_terms(g, *_clamp_tiles(g, chunk.dataflow.tiling), budget.dram_bandwidth)
+    ws, *terms = _terms_at(_geom(layer, budget), chunk.dataflow.tiling, budget.dram_bandwidth)
     if ws > gb_bytes:
         raise TileExceedsBuffer(
             f"tile working set {ws:.0f} B exceeds buffer {gb_bytes} B"
@@ -367,10 +470,13 @@ def _ladder_on_axis(limit: int, axis: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _clamped_positions(n_chunk: int, n_own: int) -> np.ndarray:
-    """Own-ladder position of each of the ``n_chunk`` positions of a chunk
-    ladder, for a layer whose own ladder on that axis has ``n_own`` steps."""
-    out = np.minimum(np.arange(n_chunk), n_own - 1)
+def _clamped_pairs(m_a: int, n_a: int, m_b: int, n_b: int) -> np.ndarray:
+    """Flat own-grid position of each of the m_a x m_b positions of a
+    chunk's ladders on two axes, row-major, for a layer whose own ladders
+    there have n_a and n_b steps: chunk position i reads own position
+    min(i, n - 1) on each axis."""
+    out = np.add.outer(np.minimum(np.arange(m_a), n_a - 1) * n_b,
+                       np.minimum(np.arange(m_b), n_b - 1)).reshape(-1)
     out.flags.writeable = False
     return out
 
@@ -479,8 +585,7 @@ def hand_dataflow_table(kind: LayerType, layers: Sequence[LayerDescriptor], pe_c
     total = np.zeros(len(pe_axis), dtype=np.float64)
     ws_max = 0.0
     for g, count in _fold(kind, layers, budget).items():
-        ws, tiles, tile_macs, mem = _layer_terms(g, *_clamp_tiles(g, df.tiling),
-                                                 budget.dram_bandwidth)
+        ws, tiles, tile_macs, mem = _terms_at(g, df.tiling, budget.dram_bandwidth)
         if ws > gb_bytes:
             raise InfeasibleBudget(
                 f"hand dataflow tile {df.tiling} of chunk {kind.short} does not fit: "
@@ -508,13 +613,17 @@ def evaluate_dataflows(
     multiplicities, and each distinct layer is costed on its own ladders,
     which run up to its own dims: a tile at or above the layer's extent
     clamps to the extent, so the cost is constant along the rest of the
-    chunk ladder. Below the extent the chunk ladder's entries are exactly
-    the layer's own powers of two, so on each axis chunk-ladder position
-    ``i`` reads own position ``min(i, len(own) - 1)``, and the layer's
-    cycles and working set reach the chunk grid through that index map.
-    Every element is the value a sweep of the whole chunk grid computes, by
-    the same operations. The working sets and memory cycles do not depend
-    on the PE count, so all PE counts are evaluated in one broadcast.
+    chunk ladder. A layer's terms there are its cached channel factor
+    times its cached spatial factor (see the module docstring), exact in
+    float64, so every element is the value a term-by-term sweep of the
+    whole chunk grid computes. Below the extent the chunk ladder's entries
+    are exactly the layer's own powers of two, so on each axis chunk-ladder
+    position ``i`` reads own position ``min(i, len(own) - 1)``; the flat
+    index map is a cached channel half times the spatial pairs plus a
+    cached spatial half, and the layer's cycles and working set reach the
+    chunk grid through it. The working sets and memory cycles do not
+    depend on the PE count, so all PE counts are evaluated in one
+    broadcast.
 
     Selection key per PE count: total cycles, then smaller buffer demand,
     then the canonical loop-order preference WS < OS < IS < RS, then
@@ -533,24 +642,21 @@ def evaluate_dataflows(
     total = np.zeros((len(pes), len(LoopOrder), a), dtype=np.float64)
     ws_max = np.zeros(a, dtype=np.float64)
     for g, count in folded.items():
-        # Own ladders never exceed the extents, so they need no clamping.
-        ws, tiles, tile_macs, mem = _layer_terms(
-            g, *(_ladder_on_axis(e, axis) for axis, e in enumerate((g.ci, g.co, g.h, g.w))),
-            budget.dram_bandwidth)
-        own_shape = tiles.shape
+        ch, sp = _own_channel_factor(g.channel), _own_spatial_factor(g.spatial)
+        ws, tiles, tile_macs, mem = _layer_terms(ch, sp, budget.dram_bandwidth)
         # Integer cycle counts: the float64 sums stay exact.
         cycles = _cycles(tiles.reshape(-1), tile_macs.reshape(-1),
                          mem.reshape(len(LoopOrder), -1), pe_axis)
         if count != 1:
             cycles *= count
         ws = ws.reshape(-1)
-        if own_shape != grid_shape:
-            # The flat own-grid position each chunk tiling reads, composed
-            # axis by axis in row-major order.
-            index = 0
-            for n_chunk, n_own in zip(grid_shape, own_shape):
-                index = np.add.outer(index * n_own, _clamped_positions(n_chunk, n_own))
-            index = index.reshape(-1)
+        if ch.shape + sp.shape != grid_shape:
+            # The flat own-grid position each chunk tiling reads: the
+            # channel pair's row times the spatial pairs plus the spatial
+            # pair's column.
+            hi = _clamped_pairs(grid_shape[0], ch.shape[0], grid_shape[1], ch.shape[1])
+            lo = _clamped_pairs(grid_shape[2], sp.shape[0], grid_shape[3], sp.shape[1])
+            index = np.add.outer(hi * len(sp.counts), lo).reshape(-1)
             cycles = cycles.take(index, axis=-1)
             ws = ws.take(index)
         total += cycles
@@ -583,9 +689,8 @@ def min_gb_size(cfg: AcceleratorConfig, layers: Sequence[LayerDescriptor],
     worst = 0.0
     for layer in dict.fromkeys(layers):
         chunk = cfg.chunk_for(layer.op_type)
-        g = _geom(layer, budget)
-        tile_bytes = _tile_bytes(g, *_clamp_tiles(g, chunk.dataflow.tiling))
-        worst = max(worst, _working_set(*tile_bytes))
+        ws, *_ = _terms_at(_geom(layer, budget), chunk.dataflow.tiling, budget.dram_bandwidth)
+        worst = max(worst, ws)
     return math.ceil(worst)
 
 

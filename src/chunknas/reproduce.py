@@ -17,7 +17,7 @@ from .accel import EnergyCoeffs, HardwareBudget, chunk_lut, conv_dsp, fit_energy
 from .config import ParseError
 from .refdata import energy_fit_rows, op_row, row_ops
 from .search_space import (CHOICES, FINITE, INT, POS_FINITE, Kind, LayerDescriptor, MacProfile,
-                           check_value, declare, dump_fields, ops_from_macs, seq)
+                           check_keys, check_value, declare, dump_fields, ops_from_macs, seq)
 
 THROUGHPUT_TOL = 0.005
 ENERGY_TOL = 0.02
@@ -58,6 +58,8 @@ _SUITE_SHAPE = {
     "grid": dict.fromkeys(("conv", "shift", "adder"), CHOICES),
     "workloads": seq({"name": STR, "layers": seq({})}),
 }
+# The optional keys of a suite's workload, with their defaults.
+_WORKLOAD_FLAGS = {"equality_expected": False, "ordering_expected": True}
 
 
 def _check_shape(doc, shape, where: str) -> None:
@@ -84,11 +86,14 @@ def check_tables(tables, where: str) -> None:
 
 def check_suite(suite, where: str) -> None:
     """Raise ParseError unless ``suite`` is a workload suite of the expected
-    shape whose budget and layers parse."""
+    shape whose budget, workload keys and layers parse."""
     _check_shape(suite, _SUITE_SHAPE, where)
     try:
         HardwareBudget.from_dict(suite["budget"])
         for wl in suite["workloads"]:
+            at = f"workload {wl['name']!r}"
+            check_keys(wl, ("name", "layers", *_WORKLOAD_FLAGS), at)
+            check_value({**_WORKLOAD_FLAGS, **wl}, dict.fromkeys(_WORKLOAD_FLAGS, BOOL), at)
             for d in wl["layers"]:
                 LayerDescriptor.from_dict(d)
     except ValueError as exc:
@@ -310,8 +315,7 @@ def compare_workloads(
                 nodes_oracle=oracle.joint_space_nodes,
                 node_ratio=oracle.joint_space_nodes / full.evaluated_nodes,
                 ordering_ok=ordering_ok,
-                equality_expected=wl.get("equality_expected", False),
-                ordering_expected=wl.get("ordering_expected", True),
+                **{flag: wl.get(flag, default) for flag, default in _WORKLOAD_FLAGS.items()},
             )
         )
     return results

@@ -448,6 +448,40 @@ def ref_working_set(layer, tiling, budget):
     return 2.0 * (in_b + w_b + out_b)
 
 
+def ref_layer_terms(layer, budget, tci, tco, th, tw):
+    """The cost model's PE-independent terms written out quantity by
+    quantity on broadcast tile sizes, none beyond the layer's extents:
+    (working set, tiles, MACs per tile, memory cycles of the four loop
+    orders stacked in LoopOrder order). Memory cycles charge DRAM traffic
+    under the stationary-operand reuse rule of each order."""
+    ci, co = layer.in_channels // layer.groups, layer.out_channels
+    k, dense = layer.kernel, layer.groups == 1
+    n_ci = -(-ci // tci)
+    n_co = -(-co // tco)
+    n_h = -(-layer.out_h // th)
+    n_w = -(-layer.out_w // tw)
+    tiles = n_ci * n_co * n_h * n_w
+    tile_macs = tci * tco * th * tw * k ** 2
+
+    in_h = (th - 1) * layer.stride + k
+    in_w = (tw - 1) * layer.stride + k
+    in_ch = tci if dense else tco
+    in_b = in_ch * in_h * in_w * (budget.act_bits / 8)
+    w_b = tco * tci * k ** 2 * (budget.weight_bits(layer.op_type) / 8)
+    o_b = tco * th * tw * (budget.out_bits(layer.op_type) / 8)
+    dist_w = n_co * n_ci
+    dist_o = n_co * n_h * n_w
+    dist_i = (n_ci if dense else n_co) * n_h * n_w
+    traffic = np.stack([
+        dist_w * w_b + tiles * (in_b + o_b),           # WS
+        dist_o * o_b + tiles * (in_b + w_b),           # OS
+        dist_i * in_b + tiles * (w_b + o_b),           # IS
+        dist_w * w_b + dist_i * in_b + tiles * o_b,    # RS
+    ])
+    ws = 2.0 * (in_b + w_b + o_b)  # double buffered
+    return ws, tiles, tile_macs, np.ceil(traffic / budget.dram_bandwidth)
+
+
 def ref_dataflows(layers, gb_bytes, budget):
     """Every dataflow whose tiles fit the buffer for all layers, loop order
     major, tilings in lexicographic order; InfeasibleBudget when none does."""

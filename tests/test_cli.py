@@ -168,6 +168,11 @@ def _stage_key_typo() -> dict:
     return {"space": space}
 
 
+def _equality_key_typo(suite: dict) -> None:
+    wl = next(w for w in suite["workloads"] if w["name"] == "conv-only-equality")
+    wl["equality_expectd"] = wl.pop("equality_expected")
+
+
 # Each misspelled key or section once loaded silently: the key ignored, or
 # the layer read with the default groups of 1. (input, document, key named)
 UNKNOWN_KEYS = {
@@ -182,6 +187,7 @@ UNKNOWN_KEYS = {
     "suite layer key": ("suite", _suite_with(lambda s: s["workloads"][0]["layers"].append(
         {"op_type": "adder", "in_channels": 8, "out_channels": 8, "kernel": 3, "stride": 1,
          "group": 8, "in_h": 4, "in_w": 4})), "group"),
+    "suite workload key": ("suite", _suite_with(_equality_key_typo), "equality_expectd"),
 }
 
 
@@ -415,6 +421,11 @@ SUITE_HEAD = '{"budget": {}, "grid": {"conv": [8], "shift": [1], "adder": [1]}, 
     pytest.param(["oracle-compare", "--workloads", "{f}"],
                  SUITE_HEAD + '[{"name": "w", "layers": [{}]}]}', id="layer-without-keys"),
     pytest.param(["oracle-compare", "--workloads", "{f}"], SUITE_HEAD + "[]}", id="no-workloads"),
+    pytest.param(["oracle-compare", "--workloads", "{f}"],
+                 SUITE_HEAD + json.dumps([{"name": "w", "ordering_expected": "no", "layers": [
+                     {"op_type": "conv", "in_channels": 4, "out_channels": 4, "kernel": 3,
+                      "stride": 1, "in_h": 8, "in_w": 8}]}]) + "}",
+                 id="string-workload-flag"),
     pytest.param(["oracle-compare", "--workloads", "{f}"],
                  json.dumps({**bundled_workloads(), "grid": {"conv": [], "shift": [1],
                                                              "adder": [1]}}),
