@@ -6,8 +6,9 @@ Compute cycles follow the tiled-loop model: number of tiles times
 ceil(tile work / PE count). Memory cycles charge DRAM traffic under the
 stationary-operand reuse rule of the chosen loop order.
 
-One kernel prices a layer (``_layer_terms``), for the dataflow sweep, the
-hand-dataflow table, ``layer_latency`` and ``min_gb_size`` alike. Every
+One kernel prices a layer (``_layer_terms``), for the dataflow sweep and
+for a chunk priced at one dataflow (``_dataflow_table``: the hand-dataflow
+table, ``layer_latency``, ``pipeline_perf`` and ``min_gb_size``). Every
 term of the loop nest is a product of a channel factor, over the
 (t_cin, t_cout) tile pairs, and a spatial factor, over the (t_h, t_w)
 pairs: tile counts and MACs per tile are int64 outer products, and each
@@ -164,6 +165,11 @@ class HardwareBudget:
     def conv_pes_by_dsp(self) -> int:
         """Most conv PEs the usable DSPs hold under DSP packing."""
         return int(self.usable_dsp / DSP_PER_CONV_PE)
+
+    @property
+    def pe_luts(self) -> int:
+        """LUTs left to the PEs of the three chunks after the fixed overhead."""
+        return self.lut_total - self.lut_overhead
 
     def weight_bits(self, op_type: LayerType) -> int:
         return {
@@ -430,23 +436,6 @@ def _cycles(tiles, tile_macs, mem, pe_count, out=None):
     return np.maximum(tiles * _ceil_div(tile_macs, pe_count), mem, out=out)
 
 
-def layer_latency(
-    layer: LayerDescriptor,
-    chunk: ChunkConfig,
-    gb_bytes: int,
-    budget: HardwareBudget,
-) -> int:
-    """Cycles to run one layer on its chunk: max(compute, memory)."""
-    if layer.op_type is not chunk.chunk_kind:
-        raise ValueError(f"layer type {layer.op_type} does not match chunk {chunk.chunk_kind}")
-    ws, *terms = _terms_at(_geom(layer, budget), chunk.dataflow.tiling, budget.dram_bandwidth)
-    if ws > gb_bytes:
-        raise TileExceedsBuffer(
-            f"tile working set {ws:.0f} B exceeds buffer {gb_bytes} B"
-        )
-    return int(_cycles(*terms, chunk.pe_count)[chunk.dataflow.loop_order])
-
-
 @functools.lru_cache(maxsize=None)
 def _pow2_ladder(limit: int) -> tuple[int, ...]:
     vals = []
@@ -562,40 +551,66 @@ class DataflowTable:
 
 
 def _fold(kind: LayerType, layers: Sequence[LayerDescriptor],
-          budget: HardwareBudget) -> Counter:
+          budget: HardwareBudget) -> dict[_LayerGeom, int]:
     """The geometry of each distinct layer with its multiplicity, in
     first-seen order; a layer of another kind than the chunk's is a
     ValueError."""
-    folded = Counter()
+    folded = {}
     for layer, count in Counter(layers).items():
         if layer.op_type is not kind:
             raise ValueError(f"layer {layer} assigned to chunk {kind}")
-        folded[_geom(layer, budget)] += count
+        g = _geom(layer, budget)
+        folded[g] = folded.get(g, 0) + count
     return folded
 
 
-def hand_dataflow_table(kind: LayerType, layers: Sequence[LayerDescriptor], pe_counts: Sequence[int],
-                        gb_bytes: int, budget: HardwareBudget) -> DataflowTable:
-    """The chunk's table at its one hand dataflow (``manual_dataflow``),
-    costed like a sweep of that dataflow: one node per PE count, every PE
-    count in one broadcast. A hand tile that does not fit the buffer is an
-    InfeasibleBudget naming the first such layer's working set."""
-    df = manual_dataflow(layers)
+def _dataflow_table(kind: LayerType, layers: Sequence[LayerDescriptor], df: Dataflow,
+                    pe_counts: Sequence[int], gb_bytes: float, budget: HardwareBudget) -> DataflowTable:
+    """The chunk's table at the one dataflow ``df``, costed like a sweep of
+    that dataflow: one node per PE count, every PE count in one broadcast,
+    each row with the largest tile working set. The first layer in fold
+    order whose tile does not fit the buffer is a TileExceedsBuffer."""
     pe_axis = np.asarray(pe_counts, dtype=np.int64)
     total = np.zeros(len(pe_axis), dtype=np.float64)
     ws_max = 0.0
     for g, count in _fold(kind, layers, budget).items():
         ws, tiles, tile_macs, mem = _terms_at(g, df.tiling, budget.dram_bandwidth)
         if ws > gb_bytes:
-            raise InfeasibleBudget(
-                f"hand dataflow tile {df.tiling} of chunk {kind.short} does not fit: "
-                f"tile working set {ws:.0f} B exceeds buffer {gb_bytes} B"
-            )
+            raise TileExceedsBuffer(f"tile working set {ws:.0f} B exceeds buffer {gb_bytes} B")
         # Integer cycle counts: the float64 sums stay exact.
         total += count * _cycles(tiles, tile_macs, mem[df.loop_order], pe_axis)
         ws_max = max(ws_max, float(ws))
     return DataflowTable({pe: ChunkEval(df, int(cycles), ws_max)
                           for pe, cycles in zip(pe_counts, total)}, 1, 1)
+
+
+def hand_dataflow_table(kind: LayerType, layers: Sequence[LayerDescriptor], pe_counts: Sequence[int],
+                        gb_bytes: int, budget: HardwareBudget) -> DataflowTable:
+    """The chunk's table at its one hand dataflow (``manual_dataflow``). A
+    hand tile that does not fit the buffer is an InfeasibleBudget naming the
+    first such layer's working set."""
+    df = manual_dataflow(layers)
+    try:
+        return _dataflow_table(kind, layers, df, pe_counts, gb_bytes, budget)
+    except TileExceedsBuffer as exc:
+        raise InfeasibleBudget(
+            f"hand dataflow tile {df.tiling} of chunk {kind.short} does not fit: {exc}") from None
+
+
+def layer_latency(layer: LayerDescriptor, chunk: ChunkConfig, gb_bytes: int,
+                  budget: HardwareBudget) -> int:
+    """Cycles to run one layer on its chunk: max(compute, memory)."""
+    table = _dataflow_table(chunk.chunk_kind, [layer], chunk.dataflow, [chunk.pe_count],
+                            gb_bytes, budget)
+    return table.evals[chunk.pe_count].cycles
+
+
+def _config_rows(layers: Sequence[LayerDescriptor], cfg: AcceleratorConfig,
+                 budget: HardwareBudget, gb_bytes: float) -> list[ChunkEval]:
+    """Each chunk's row at its dataflow and PE count, in (conv, shift, adder) order."""
+    return [_dataflow_table(chunk.chunk_kind, [l for l in layers if l.op_type is kind],
+                            chunk.dataflow, [chunk.pe_count], gb_bytes, budget).evals[chunk.pe_count]
+            for kind, chunk in zip(LayerType, cfg.chunks())]
 
 
 def evaluate_dataflows(
@@ -650,6 +665,10 @@ def evaluate_dataflows(
         if count != 1:
             cycles *= count
         ws = ws.reshape(-1)
+        # A layer that holds every extent of its chunk reads its own grid as
+        # is: 11 of the 37 layer sweeps of a bundled-suite pass (8 in chunks
+        # of one distinct layer), only 3 of 2,459 on 64 random stock genomes.
+        # A variant without this branch read slower per suite pass.
         if ch.shape + sp.shape != grid_shape:
             # The flat own-grid position each chunk tiling reads: the
             # channel pair's row times the spatial pairs plus the spatial
@@ -686,12 +705,7 @@ def evaluate_dataflows(
 def min_gb_size(cfg: AcceleratorConfig, layers: Sequence[LayerDescriptor],
                 budget: HardwareBudget) -> int:
     """Smallest buffer (bytes) that admits every assigned layer's tile set."""
-    worst = 0.0
-    for layer in dict.fromkeys(layers):
-        chunk = cfg.chunk_for(layer.op_type)
-        ws, *_ = _terms_at(_geom(layer, budget), chunk.dataflow.tiling, budget.dram_bandwidth)
-        worst = max(worst, ws)
-    return math.ceil(worst)
+    return math.ceil(max(row.working_set for row in _config_rows(layers, cfg, budget, math.inf)))
 
 
 @dataclass(frozen=True)
@@ -718,19 +732,6 @@ class PerfReport:
         return dump_fields(self)
 
 
-def chunk_cycle_totals(
-    layers: Sequence[LayerDescriptor],
-    cfg: AcceleratorConfig,
-    budget: HardwareBudget,
-) -> dict[LayerType, int]:
-    """Busy cycles per chunk; identical layers are costed once."""
-    totals = {LayerType.CONV: 0, LayerType.SHIFT: 0, LayerType.ADDER: 0}
-    for layer, count in Counter(layers).items():
-        chunk = cfg.chunk_for(layer.op_type)
-        totals[layer.op_type] += count * layer_latency(layer, chunk, cfg.gb_bytes, budget)
-    return totals
-
-
 def pipeline_perf(
     layers: Sequence[LayerDescriptor],
     cfg: AcceleratorConfig,
@@ -739,9 +740,8 @@ def pipeline_perf(
 ) -> PerfReport:
     """Steady-state pipeline report: the per-image interval is the largest
     per-chunk busy time, since each chunk streams its own layer set."""
-    totals = chunk_cycle_totals(layers, cfg, budget)
     return perf_report(layers, cfg, budget, coeffs,
-                       [totals[k] for k in (LayerType.CONV, LayerType.SHIFT, LayerType.ADDER)])
+                       [row.cycles for row in _config_rows(layers, cfg, budget, cfg.gb_bytes)])
 
 
 def perf_report(

@@ -94,8 +94,7 @@ def split_by_type(layers: Sequence[LayerDescriptor]) -> dict[LayerType, list[Lay
 def max_conv_pes(budget: HardwareBudget) -> int:
     """Largest conv-chunk PE count the platform admits: DSP packing bound,
     capped so one PE of each LUT chunk still fits the LUT budget."""
-    lut_room = budget.lut_total - budget.lut_overhead \
-        - LUT_PER_PE[LayerType.SHIFT] - LUT_PER_PE[LayerType.ADDER]
+    lut_room = budget.pe_luts - LUT_PER_PE[LayerType.SHIFT] - LUT_PER_PE[LayerType.ADDER]
     pe = min(budget.conv_pes_by_dsp, lut_room // LUT_PER_PE[LayerType.CONV])
     if pe < 1:
         raise _no_conv_pe(budget)
@@ -143,7 +142,7 @@ def _best_design(layers: Sequence[LayerDescriptor], tables: Sequence[DataflowTab
     everything else: the buffer is their largest working set, rounded up,
     and the report is built from their cycles, so no layer is costed
     again."""
-    avail = budget.lut_total - budget.lut_overhead
+    avail = budget.pe_luts
     best = None
     scanned = 0
     for pes in itertools.product(*(sorted(t.evals) for t in tables)):
@@ -242,7 +241,7 @@ def fine_pe_counts(layers: Sequence[LayerDescriptor], budget: HardwareBudget, pe
     free LUTs split by MAC share), clamped to the LUT budget, then times
     every fine-tune step, or alone with ``search`` off."""
     lut_s, lut_a = LUT_PER_PE[LayerType.SHIFT], LUT_PER_PE[LayerType.ADDER]
-    avail = budget.lut_total - budget.lut_overhead - LUT_PER_PE[LayerType.CONV] * pe_c
+    avail = budget.pe_luts - LUT_PER_PE[LayerType.CONV] * pe_c
     if avail < lut_s + lut_a:
         raise InfeasibleBudget(
             f"LUT budget {budget.lut_total} cannot host minimal chunks beside {pe_c} conv PEs"

@@ -1,10 +1,11 @@
 """Independent straight-line references used as oracles by the tests.
 
 Everything here is implemented with plain loops and explicit formulas,
-deliberately not reusing the package's forward engine or its vectorized
-dataflow sweep. The exceptions are the classifier head and the float64
-shift quantizer, which the package no longer carries: ``ref_logits`` runs
-the package's layers, and ``ref_instantiate`` draws the full classifier.
+deliberately not reusing the package's forward engine or its layer cost
+kernels (``ref_layer_terms`` and ``ref_layer_cycles`` price a layer term by
+term). The exceptions are the classifier head and the float64 shift
+quantizer, which the package no longer carries: ``ref_logits`` runs the
+package's layers, and ``ref_instantiate`` draws the full classifier.
 It also holds the scalar fixture forms of the package's vector metrics
 (``nn_degree_terms``, ``rank_of``, ``combined_score``) and genome-level
 wrappers only the tests use (``is_valid``, ``smallest_genome``,
@@ -28,7 +29,7 @@ from chunknas.accel import (
     HardwareBudget,
     InfeasibleBudget,
     LoopOrder,
-    layer_latency,
+    TileExceedsBuffer,
 )
 from chunknas.cosearch import (
     DEFAULT_NODE_CAP,
@@ -492,14 +493,28 @@ def ref_dataflows(layers, gb_bytes, budget):
     return [Dataflow(order, t) for order in LoopOrder for t in fits]
 
 
+def ref_layer_cycles(layer, chunk, gb_bytes, budget):
+    """One layer's cycles on its chunk: ``ref_layer_terms`` at the chunk's
+    tiling clamped to the layer's extents, then max(compute, memory) of the
+    chunk's loop order, where compute is tiles times ceil(tile MACs / PE
+    count). A tile set over the buffer is a TileExceedsBuffer."""
+    _, tci, tco, th, tw = chunk.dataflow.tiling
+    ws, tiles, tile_macs, mem = ref_layer_terms(
+        layer, budget, min(tci, layer.in_channels // layer.groups),
+        min(tco, layer.out_channels), min(th, layer.out_h), min(tw, layer.out_w))
+    if ws > gb_bytes:
+        raise TileExceedsBuffer(f"tile working set {ws:.0f} B exceeds buffer {gb_bytes} B")
+    return int(max(tiles * -(-tile_macs // chunk.pe_count), mem[chunk.dataflow.loop_order]))
+
+
 def ref_best_dataflow(kind, layers, pe, gb_bytes, budget):
-    """Brute-force sweep over scalar layer_latency: the dataflow minimizing
+    """Brute-force sweep over ``ref_layer_cycles``: the dataflow minimizing
     (total cycles, buffer demand, loop order, tiling), with its cycles and
     buffer demand."""
     best = None
     flows = ref_dataflows(layers, gb_bytes, budget)
     for df in flows:
-        cycles = sum(layer_latency(l, ChunkConfig(kind, pe, df), gb_bytes, budget)
+        cycles = sum(ref_layer_cycles(l, ChunkConfig(kind, pe, df), gb_bytes, budget)
                      for l in layers)
         ws = max(ref_working_set(l, df.tiling, budget) for l in layers)
         key = (cycles, ws, int(df.loop_order), df.tiling)

@@ -86,6 +86,18 @@ class TestResourceUsage:
         cfg = make_config(1, 1, 1)
         assert resource_usage(cfg, lut_overhead=11000)[1] == 37 + 34 + 29 + 11000
 
+    def test_pe_luts_are_the_luts_past_the_overhead(self):
+        # PEs fill exactly the LUTs the overhead leaves: a config whose PEs
+        # use all of them fits, one more PE does not. Not a field, so it is
+        # not serialized.
+        assert HardwareBudget().pe_luts == 117_000 - 11_000
+        budget = HardwareBudget(lut_total=600, lut_overhead=500)
+        assert budget.pe_luts == 100 == chunk_lut(1, 1, 1)
+        make_config(1, 1, 1).assert_fits(budget)
+        with pytest.raises(InfeasibleBudget, match="LUT"):
+            make_config(1, 1, 2).assert_fits(budget)
+        assert "pe_luts" not in budget.to_dict()
+
     def test_assert_fits_budget(self):
         budget = HardwareBudget()
         make_config(pe_c=1090, pe_s=272, pe_a=171, gb=40000).assert_fits(budget)
@@ -119,7 +131,7 @@ class TestLayerLatency:
     def test_type_mismatch_rejected(self):
         layer = LayerDescriptor(LayerType.SHIFT, 4, 4, 1, 1, 1, 4, 4)
         chunk = ChunkConfig(LayerType.CONV, 4, full_dataflow(layer))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="SHIFT.* assigned to chunk LayerType.CONV"):
             layer_latency(layer, chunk, 1 << 20, HardwareBudget())
 
     def test_monotone_in_pe_count(self):
@@ -327,6 +339,21 @@ class TestPipelinePerf:
         assert report.throughput_gops * report.latency_s * 1e9 == pytest.approx(total_ops)
         assert report.fps * report.latency_s == pytest.approx(1.0)
         assert report.latency_s == max(report.per_chunk_time_s)
+
+    def test_tile_over_buffer_names_the_first_chunk(self):
+        # The adder and conv tiles both overflow an 8 kB buffer: the error
+        # names the conv layer's 11648 B, the first chunk in (conv, shift,
+        # adder) order, though the 19712 B adder layer comes first.
+        df = Dataflow(LoopOrder.WS, (1, 16, 16, 8, 8))
+        cfg = AcceleratorConfig(*(ChunkConfig(kind, 8, df) for kind in LayerType), 8192)
+        layers = [LayerDescriptor(LayerType.ADDER, 32, 32, 5, 1, 1, 16, 16),
+                  LayerDescriptor(LayerType.SHIFT, 8, 8, 1, 1, 1, 8, 8),
+                  LayerDescriptor(LayerType.CONV, 32, 32, 3, 1, 1, 16, 16)]
+        budget = HardwareBudget()
+        with pytest.raises(TileExceedsBuffer) as exc:
+            pipeline_perf(layers, cfg, budget, EnergyCoeffs(5e-3, 7e-4, 7e-4))
+        assert str(exc.value) == "tile working set 11648 B exceeds buffer 8192 B"
+        assert min_gb_size(cfg, layers, budget) == 19712
 
     def test_interval_is_max_chunk_time(self):
         # per-chunk times 0.30 / 0.20 / 0.44 ms -> interval 0.44 ms, FPS 2272.7.

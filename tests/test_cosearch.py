@@ -202,7 +202,7 @@ class TestFineSearch:
         ]
 
     def test_beats_unsearched_init(self):
-        from chunknas.accel import chunk_cycle_totals
+        from chunknas.accel import pipeline_perf
 
         layers = self._hybrid_layers()
         budget = small_budget()
@@ -210,7 +210,7 @@ class TestFineSearch:
 
         def interval(search):
             cfg = fine_search(layers, budget, coarse, COEFFS, search=search).config
-            return max(chunk_cycle_totals(layers, cfg, budget).values())
+            return pipeline_perf(layers, cfg, budget, COEFFS).latency_s
 
         assert interval(True) <= interval(False)
 
@@ -286,9 +286,9 @@ class TestSearchAccelerator:
         assert digest == CORPUS_DESIGNS_SHA256
 
     def test_search_runs_no_scalar_cost_code(self, monkeypatch):
-        # The sweep tables are the search path's only cost computation: a
-        # design's buffer and report come from its chosen rows, so the
-        # scalar path stays an independent check of them.
+        # The tables are the search path's only cost computation: a design's
+        # buffer and report come from its chosen rows, so re-pricing its
+        # config (``pipeline_perf``, ``min_gb_size``) stays a check of them.
         from chunknas import accel, cosearch as cs, reproduce
         from chunknas.refdata import bundled_workloads
 
@@ -308,7 +308,7 @@ class TestSearchAccelerator:
             raise AssertionError("the search ran the scalar cost model")
 
         for module in (accel, cs, reproduce):
-            for name in ("layer_latency", "pipeline_perf", "min_gb_size", "chunk_cycle_totals"):
+            for name in ("layer_latency", "pipeline_perf", "min_gb_size"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, scalar)
         assert designs() == expected

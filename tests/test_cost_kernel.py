@@ -5,8 +5,8 @@
 pairs. Every term is a multiple of 1/8 below 2**50, so float64 adds the
 products exactly in any order and the kernel equals the direct formula
 (``oracles.ref_layer_terms``) bit for bit, on a layer's own ladders (the
-sweep) and at one clamped tiling (``layer_latency``, the hand table and
-``min_gb_size``). On 64 stock genomes the largest intermediate is about
+sweep) and at one clamped tiling (``_dataflow_table``: the hand table,
+``layer_latency``, ``pipeline_perf`` and ``min_gb_size``). On 64 stock genomes the largest intermediate is about
 2**22, a margin of about 2**28 below that bound. The sweep reads the
 own-ladder factors through two caches: each key computes once, the cached
 arrays are read-only, and sweeps from a cold cache on a thread pool equal a

@@ -6,12 +6,16 @@ restricted to the PE counts the full search chose, picks the same design;
 on the bundled budget and grid the full search reaches 0.95 of the oracle's
 throughput on conv-free workloads, and a seeded corpus of mixed workloads
 states its tail; the per-chunk dataflow table equals a brute-force sweep
-over the scalar cost model at every PE count, also on chunks that mix one
-wide layer with narrow ones, and so does the hand-dataflow table; every
-design's buffer and report, built from its table rows, equal the scalar
-path's; and a table swept at a union of PE counts, restricted to a subset,
-equals the sweep at the subset."""
+over the term-by-term reference cost (``oracles.ref_layer_cycles``) at
+every PE count, also on chunks that mix one wide layer with narrow ones,
+and so does the hand-dataflow table; every design's buffer and report,
+built from its table rows, equal those ``min_gb_size`` and
+``pipeline_perf`` compute from its config and the reference sums; a
+config's per-chunk cycles and each layer's ``layer_latency`` equal the
+reference; and a table swept at a union of PE counts, restricted to a
+subset, equals the sweep at the subset."""
 
+import math
 import random
 
 import pytest
@@ -27,7 +31,6 @@ from chunknas.accel import (
     HardwareBudget,
     InfeasibleBudget,
     LoopOrder,
-    chunk_cycle_totals,
     evaluate_dataflows,
     hand_dataflow_table,
     layer_latency,
@@ -38,7 +41,8 @@ from chunknas.accel import (
 from chunknas.cosearch import oracle_layers, search_accelerator_layers
 from chunknas.refdata import bundled_workloads
 from chunknas.search_space import LayerDescriptor, LayerType
-from oracles import ref_best_dataflow, ref_dataflows, ref_tilings, ref_working_set
+from oracles import (ref_best_dataflow, ref_dataflows, ref_layer_cycles, ref_tilings,
+                     ref_working_set)
 from test_cosearch import COEFFS
 
 CHANNELS = (1, 2, 3, 4, 8, 16, 32)
@@ -98,10 +102,26 @@ def test_every_variant_fits_or_is_infeasible(layers, budget):
 
 def _assert_scalar_design(res, layers, budget):
     """The design fits its budget, and its buffer and report, built from
-    its table rows, are those the scalar path computes from the config."""
-    res.config.assert_fits(budget)
-    assert res.config.gb_bytes == max(1, min_gb_size(res.config, layers, budget))
-    assert res.report == pipeline_perf(layers, res.config, budget, COEFFS)
+    its table rows, are those ``min_gb_size`` and ``pipeline_perf`` compute
+    from the config, and the term-by-term references."""
+    cfg = res.config
+    cfg.assert_fits(budget)
+    ws = max(ref_working_set(l, cfg.chunk_for(l.op_type).dataflow.tiling, budget) for l in layers)
+    assert cfg.gb_bytes == max(1, min_gb_size(cfg, layers, budget)) == max(1, math.ceil(ws))
+    assert res.report == pipeline_perf(layers, cfg, budget, COEFFS)
+    assert _chunk_cycles(res.report, budget) == _ref_chunk_cycles(layers, cfg, budget)
+
+
+def _chunk_cycles(report, budget) -> list[int]:
+    """A report's per-chunk busy cycles, in (conv, shift, adder) order."""
+    return [round(t * budget.frequency_hz) for t in report.per_chunk_time_s]
+
+
+def _ref_chunk_cycles(layers, cfg, budget) -> list[int]:
+    """Each chunk's summed ``ref_layer_cycles``, in (conv, shift, adder) order."""
+    return [sum(ref_layer_cycles(l, chunk, cfg.gb_bytes, budget)
+                for l in layers if l.op_type is kind)
+            for kind, chunk in zip(LayerType, cfg.chunks())]
 
 
 @pytest.mark.filterwarnings("ignore::chunknas.cosearch.NoConvLayers")
@@ -256,14 +276,14 @@ def hand_workload(draw) -> tuple[LayerType, list[LayerDescriptor]]:
 @example((LayerType.ADDER, []), [1, 8], 4.0)
 def test_hand_table_equals_scalar_sum(workload, pes, bandwidth):
     # With the search off, a chunk's rows are the hand dataflow's summed
-    # scalar cycles and its largest tile working set, at every PE count.
+    # reference cycles and its largest tile working set, at every PE count.
     kind, layers = workload
     budget = HardwareBudget(dram_bandwidth=bandwidth)
     gb, df = budget.gb_bytes_max, manual_dataflow(layers)
     table = hand_dataflow_table(kind, layers, pes, gb, budget)
     ws = max((ref_working_set(l, df.tiling, budget) for l in layers), default=0.0)
     assert table.evals == {
-        pe: ChunkEval(df, sum(layer_latency(l, ChunkConfig(kind, pe, df), gb, budget)
+        pe: ChunkEval(df, sum(ref_layer_cycles(l, ChunkConfig(kind, pe, df), gb, budget)
                               for l in layers), ws)
         for pe in pes}
     assert table.nodes == table.feasible_dataflows == len(pes)
@@ -299,15 +319,26 @@ dataflows = st.builds(Dataflow, st.sampled_from(list(LoopOrder)),
                       st.tuples(st.just(1), *[st.integers(1, 9)] * 4))
 
 
+# Stride-2 inputs of 15 and 16 rows are two descriptors of one geometry.
+_TWINS = [LayerDescriptor(kind, 4, 8, 3, 2, 1, n, n)
+          for kind in (LayerType.ADDER, LayerType.CONV) for n in (15, 16)]
+
+
 @given(st.lists(layer(), min_size=1, max_size=3).flatmap(
            lambda distinct: st.lists(st.sampled_from(distinct), min_size=1, max_size=8)),
        st.tuples(*[st.integers(1, 64)] * 3), st.tuples(*[dataflows] * 3))
+@example([_TWINS[0], _TWINS[1], _TWINS[0], _TWINS[3], _TWINS[2]], (3, 5, 7),
+         (Dataflow(LoopOrder.RS, (1, 3, 5, 7, 9)), Dataflow(LoopOrder.WS, (1, 1, 1, 1, 1)),
+          Dataflow(LoopOrder.IS, (1, 9, 3, 5, 7))))
 def test_folded_cycle_totals_equal_scalar_sum(layers, pes, flows):
+    # Each chunk's busy cycles in the pipeline report, folded by geometry,
+    # and each layer's own latency equal the term-by-term reference.
     budget = HardwareBudget()
     chunks = [ChunkConfig(kind, pe, df) for kind, pe, df in zip(LayerType, pes, flows)]
     cfg = AcceleratorConfig(*chunks, gb_bytes=budget.gb_bytes_max)
-    totals = chunk_cycle_totals(layers, cfg, budget)
-    for chunk in chunks:
-        assert totals[chunk.chunk_kind] == sum(
-            layer_latency(l, chunk, cfg.gb_bytes, budget)
-            for l in layers if l.op_type is chunk.chunk_kind)
+    report = pipeline_perf(layers, cfg, budget, COEFFS)
+    assert _chunk_cycles(report, budget) == _ref_chunk_cycles(layers, cfg, budget)
+    for l in layers:
+        chunk = cfg.chunk_for(l.op_type)
+        assert layer_latency(l, chunk, cfg.gb_bytes, budget) \
+            == ref_layer_cycles(l, chunk, cfg.gb_bytes, budget)
