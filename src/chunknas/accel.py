@@ -289,12 +289,16 @@ class _LayerGeom(NamedTuple):
     spatial: _SpatialGeom
 
 
-def _geom(layer: LayerDescriptor, budget: HardwareBudget) -> _LayerGeom:
+def _kind_bytes(kind: LayerType, budget: HardwareBudget) -> tuple[float, float, float]:
+    """Bytes per weight, activation and output of a layer of ``kind``."""
+    return budget.weight_bits(kind) / 8, budget.act_bits / 8, budget.out_bits(kind) / 8
+
+
+def _geom(layer: LayerDescriptor, w_bytes: float, act_bytes: float, out_bytes: float) -> _LayerGeom:
     return _LayerGeom(
         _ChannelGeom(layer.in_channels // layer.groups, layer.out_channels, layer.kernel,
-                     layer.groups == 1, budget.weight_bits(layer.op_type) / 8),
-        _SpatialGeom(layer.out_h, layer.out_w, layer.stride, layer.kernel,
-                     budget.act_bits / 8, budget.out_bits(layer.op_type) / 8),
+                     layer.groups == 1, w_bytes),
+        _SpatialGeom(layer.out_h, layer.out_w, layer.stride, layer.kernel, act_bytes, out_bytes),
     )
 
 
@@ -556,10 +560,11 @@ def _fold(kind: LayerType, layers: Sequence[LayerDescriptor],
     first-seen order; a layer of another kind than the chunk's is a
     ValueError."""
     folded = {}
+    sizes = _kind_bytes(kind, budget)
     for layer, count in Counter(layers).items():
         if layer.op_type is not kind:
             raise ValueError(f"layer {layer} assigned to chunk {kind}")
-        g = _geom(layer, budget)
+        g = _geom(layer, *sizes)
         folded[g] = folded.get(g, 0) + count
     return folded
 
@@ -613,6 +618,53 @@ def _config_rows(layers: Sequence[LayerDescriptor], cfg: AcceleratorConfig,
             for kind, chunk in zip(LayerType, cfg.chunks())]
 
 
+def _chunk_grid(kind: LayerType, layers: Sequence[LayerDescriptor], pe_counts: Sequence[int],
+                budget: HardwareBudget) -> tuple[np.ndarray, np.ndarray]:
+    """The non-empty chunk's summed cycles, (PE counts, loop orders,
+    tilings), and its largest working set per tiling, over the tilings of
+    ``tiling_candidates`` in their order.
+
+    Each distinct layer is costed on its own ladders and widened to the
+    chunk grid in two steps: the channel half first, then, once per group
+    of layers that share an own spatial shape, the spatial half. Cycle
+    counts are integers, so the float64 sums are exact in any order, and a
+    maximum commutes with a gather: every element is the one a
+    layer-by-layer sum on the chunk grid computes."""
+    grid_shape = tuple(map(len, _tiling_ladders(layers)))
+    m_ch, m_sp = grid_shape[:2], grid_shape[2:]
+    pe_axis = np.asarray(pe_counts, dtype=np.int64).reshape(-1, 1, 1, 1)
+    groups: dict[tuple[int, int], list[np.ndarray]] = {}
+    for g, count in _fold(kind, layers, budget).items():
+        ch, sp = _own_channel_factor(g.channel), _own_spatial_factor(g.spatial)
+        ws, tiles, tile_macs, mem = _layer_terms(ch, sp, budget.dram_bandwidth)
+        cycles = _cycles(tiles, tile_macs, mem, pe_axis)
+        if count != 1:
+            cycles *= count
+        # A half at the chunk's ladders is read as it is: on 256 random
+        # stock genomes 7 of 9,769 layer channel halves, and one of the 3.3
+        # spatial groups of each chunk, the one with its largest extents.
+        if ch.shape != m_ch:
+            hi = _clamped_pairs(m_ch[0], ch.shape[0], m_ch[1], ch.shape[1])
+            cycles, ws = cycles.take(hi, axis=-2), ws.take(hi, axis=0)
+        group = groups.get(sp.shape)
+        if group is None:
+            groups[sp.shape] = [cycles, ws]
+        else:
+            group[0] += cycles
+            np.maximum(group[1], ws, out=group[1])
+    total = ws_max = None
+    for shape, (cycles, ws) in groups.items():
+        if shape != m_sp:
+            lo = _clamped_pairs(m_sp[0], shape[0], m_sp[1], shape[1])
+            cycles, ws = cycles.take(lo, axis=-1), ws.take(lo, axis=-1)
+        if total is None:
+            total, ws_max = cycles, ws
+        else:
+            total += cycles
+            np.maximum(ws_max, ws, out=ws_max)
+    return total.reshape(len(pe_axis), len(LoopOrder), -1), ws_max.reshape(-1)
+
+
 def evaluate_dataflows(
     kind: LayerType,
     layers: Sequence[LayerDescriptor],
@@ -633,12 +685,14 @@ def evaluate_dataflows(
     float64, so every element is the value a term-by-term sweep of the
     whole chunk grid computes. Below the extent the chunk ladder's entries
     are exactly the layer's own powers of two, so on each axis chunk-ladder
-    position ``i`` reads own position ``min(i, len(own) - 1)``; the flat
-    index map is a cached channel half times the spatial pairs plus a
-    cached spatial half, and the layer's cycles and working set reach the
-    chunk grid through it. The working sets and memory cycles do not
-    depend on the PE count, so all PE counts are evaluated in one
-    broadcast.
+    position ``i`` reads own position ``min(i, len(own) - 1)``. The layers
+    reach the chunk grid in two gathers (``_chunk_grid``): each layer's
+    channel half is widened to the chunk's channel pairs, the layers that
+    share an own spatial shape are summed, and each such group is widened
+    once along the spatial half. On 256 random stock genomes a chunk holds
+    13.3 distinct layers but only 3.3 spatial shapes. The working sets and
+    memory cycles do not depend on the PE count, so all PE counts are
+    evaluated in one broadcast.
 
     Selection key per PE count: total cycles, then smaller buffer demand,
     then the canonical loop-order preference WS < OS < IS < RS, then
@@ -649,37 +703,9 @@ def evaluate_dataflows(
     pes = list(pe_counts)
     if not layers:
         return DataflowTable({pe: ChunkEval(EMPTY_CHUNK_DATAFLOW, 0, 0.0) for pe in pes}, 1, 1)
-    folded = _fold(kind, layers, budget)
     arr = tiling_candidates(layers)
-    grid_shape = tuple(map(len, _tiling_ladders(layers)))
     a = len(arr)
-    pe_axis = np.asarray(pes, dtype=np.int64).reshape(-1, 1, 1)
-    total = np.zeros((len(pes), len(LoopOrder), a), dtype=np.float64)
-    ws_max = np.zeros(a, dtype=np.float64)
-    for g, count in folded.items():
-        ch, sp = _own_channel_factor(g.channel), _own_spatial_factor(g.spatial)
-        ws, tiles, tile_macs, mem = _layer_terms(ch, sp, budget.dram_bandwidth)
-        # Integer cycle counts: the float64 sums stay exact.
-        cycles = _cycles(tiles.reshape(-1), tile_macs.reshape(-1),
-                         mem.reshape(len(LoopOrder), -1), pe_axis)
-        if count != 1:
-            cycles *= count
-        ws = ws.reshape(-1)
-        # A layer that holds every extent of its chunk reads its own grid as
-        # is: 11 of the 37 layer sweeps of a bundled-suite pass (8 in chunks
-        # of one distinct layer), only 3 of 2,459 on 64 random stock genomes.
-        # A variant without this branch read slower per suite pass.
-        if ch.shape + sp.shape != grid_shape:
-            # The flat own-grid position each chunk tiling reads: the
-            # channel pair's row times the spatial pairs plus the spatial
-            # pair's column.
-            hi = _clamped_pairs(grid_shape[0], ch.shape[0], grid_shape[1], ch.shape[1])
-            lo = _clamped_pairs(grid_shape[2], sp.shape[0], grid_shape[3], sp.shape[1])
-            index = np.add.outer(hi * len(sp.counts), lo).reshape(-1)
-            cycles = cycles.take(index, axis=-1)
-            ws = ws.take(index)
-        total += cycles
-        np.maximum(ws_max, ws, out=ws_max)
+    total, ws_max = _chunk_grid(kind, layers, pes, budget)
     feasible = ws_max <= gb_bytes
     if not feasible.any():
         raise InfeasibleBudget(

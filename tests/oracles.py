@@ -524,6 +524,20 @@ def ref_best_dataflow(kind, layers, pe, gb_bytes, budget):
     return ChunkEval(df, cycles, ws)
 
 
+def ref_chunk_grid(kind, layers, pes, budget):
+    """The whole grid a chunk's sweep picks from, term by term: at each PE
+    count, loop order and tiling of ``ref_tilings``, the sum of every
+    layer's ``ref_layer_cycles`` (a (PE counts, 4, tilings) float64 array),
+    and at each tiling the largest ``ref_working_set`` (a (tilings,) one)."""
+    tilings = ref_tilings(layers)
+    flows = [[Dataflow(order, t) for t in tilings] for order in LoopOrder]
+    total = np.array([[[float(sum(ref_layer_cycles(l, ChunkConfig(kind, pe, df), math.inf, budget)
+                                  for l in layers))
+                        for df in row] for row in flows] for pe in pes])
+    ws = np.array([max(ref_working_set(l, t, budget) for l in layers) for t in tilings])
+    return total, ws
+
+
 def ref_cosearch(space, budget, constraint, params, coeffs):
     """The co-search loop evaluated serially over a population of genome
     digests, which ranks every pool, every retained population (for its log

@@ -8,21 +8,24 @@ throughput on conv-free workloads, and a seeded corpus of mixed workloads
 states its tail; the per-chunk dataflow table equals a brute-force sweep
 over the term-by-term reference cost (``oracles.ref_layer_cycles``) at
 every PE count, also on chunks that mix one wide layer with narrow ones,
-and so does the hand-dataflow table; every design's buffer and report,
-built from its table rows, equal those ``min_gb_size`` and
-``pipeline_perf`` compute from its config and the reference sums; a
-config's per-chunk cycles and each layer's ``layer_latency`` equal the
-reference; and a table swept at a union of PE counts, restricted to a
-subset, equals the sweep at the subset."""
+as does every element of the grid the sweep picks from
+(``oracles.ref_chunk_grid``), and so does the hand-dataflow table; every
+design's buffer and report, built from its table rows, equal those
+``min_gb_size`` and ``pipeline_perf`` compute from its config and the
+reference sums; a config's per-chunk cycles and each layer's
+``layer_latency`` equal the reference; and a table swept at a union of PE
+counts, restricted to a subset, equals the sweep at the subset."""
 
 import math
 import random
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
+from chunknas import accel
 from chunknas.accel import (
     AcceleratorConfig,
     ChunkConfig,
@@ -41,8 +44,8 @@ from chunknas.accel import (
 from chunknas.cosearch import oracle_layers, search_accelerator_layers
 from chunknas.refdata import bundled_workloads
 from chunknas.search_space import LayerDescriptor, LayerType
-from oracles import (ref_best_dataflow, ref_dataflows, ref_layer_cycles, ref_tilings,
-                     ref_working_set)
+from oracles import (ref_best_dataflow, ref_chunk_grid, ref_dataflows, ref_layer_cycles,
+                     ref_tilings, ref_working_set)
 from test_cosearch import COEFFS
 
 CHANNELS = (1, 2, 3, 4, 8, 16, 32)
@@ -200,12 +203,23 @@ def chunk_workload(draw) -> tuple[LayerType, list[LayerDescriptor]]:
     return kind, draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=5))
 
 
+def assert_grid_equals_reference(kind, layers, pes, budget):
+    # Every element of the grid the picks read, not only the picks: a
+    # dropped or doubled layer can leave every argmin where it was.
+    total, ws = accel._chunk_grid(kind, layers, pes, budget)
+    want_total, want_ws = ref_chunk_grid(kind, layers, pes, budget)
+    assert total.dtype == ws.dtype == np.float64
+    assert np.array_equal(total, want_total)
+    assert np.array_equal(ws, want_ws)
+
+
 @settings(max_examples=40)
 @given(chunk_workload(), st.lists(st.integers(1, 64), min_size=1, max_size=3, unique=True),
        st.integers(16, 1 << 13), st.sampled_from((1.0, 4.0, 16.0)))
 def test_table_equals_brute_force_sweep(workload, pes, gb, bandwidth):
     kind, layers = workload
     budget = HardwareBudget(dram_bandwidth=bandwidth)
+    assert_grid_equals_reference(kind, layers, pes, budget)
     try:
         expected = {pe: ref_best_dataflow(kind, layers, pe, gb, budget) for pe in pes}
     except InfeasibleBudget:
@@ -224,11 +238,16 @@ def _wide(kind, channels, groups=1):
 
 
 # One wide layer beside narrow ones: a narrow layer's own ladder grid is a
-# sliver of the chunk grid and reaches it through a clamping index map, as
-# does a wide depthwise layer's (one reduction channel against the narrow
-# dense layers' few); a wide dense layer, like a one-layer set, reads its
-# own grid as it is. The strategies above draw at most 32 channels and 16
-# rows, so they never reach ladders of this length.
+# sliver of the chunk grid and is widened to it on both halves, as is a
+# wide depthwise layer's channel half (one reduction channel against the
+# narrow dense layers' few); a wide dense layer, like a one-layer set,
+# reads its own grid as it is. Layers of one spatial extent but several
+# channel extents form one spatial group widened on the channel half only;
+# one channel extent at several output row counts, each at stride 1 and 2,
+# forms a group of two layers per count, widened on the spatial half only,
+# along the rows but not the columns. The strategies above draw square
+# maps of at most 16 rows and at most 32 channels, so they never reach
+# ladders of this length and never widen one spatial axis alone.
 MIXED_EXTENTS = {
     "wide dense, narrow dense and depthwise": (LayerType.SHIFT, [
         _wide(LayerType.SHIFT, 256),
@@ -248,6 +267,14 @@ MIXED_EXTENTS = {
         LayerDescriptor(LayerType.CONV, 2, 1, 3, 2, 1, 16, 16),
     ], (3, 32)),
     "one layer": (LayerType.CONV, [_wide(LayerType.CONV, 384)], (5,)),
+    "one spatial extent, several channel extents": (LayerType.CONV, [
+        *(_wide(LayerType.CONV, c) for c in (8, 24, 96, 216)),
+        _wide(LayerType.CONV, 64, groups=64),
+    ], (4, 48)),
+    "one channel extent, several spatial extents": (LayerType.SHIFT, [
+        LayerDescriptor(LayerType.SHIFT, 32, 32, 3, stride, 1, rows * stride, 16 * stride)
+        for rows in (16, 8, 4, 2) for stride in (1, 2)
+    ], (1, 9)),
 }
 
 
@@ -255,11 +282,13 @@ MIXED_EXTENTS = {
 def test_mixed_extents_table_equals_brute_force_sweep(case):
     kind, layers, pes = MIXED_EXTENTS[case]
     budget, gb = HardwareBudget(dram_bandwidth=16.0), 1 << 15
+    assert_grid_equals_reference(kind, layers, pes, budget)
     table = evaluate_dataflows(kind, layers, pes, gb, budget)
     assert table.evals == {pe: ref_best_dataflow(kind, layers, pe, gb, budget) for pe in pes}
     assert table.nodes == len(pes) * 4 * len(ref_tilings(layers))
     assert table.feasible_dataflows == len(pes) * len(ref_dataflows(layers, gb, budget))
     assert 0 < table.feasible_dataflows < table.nodes
+
 
 
 @st.composite
